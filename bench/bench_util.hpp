@@ -236,8 +236,8 @@ inline void report_service_stats(const service::CampaignService& svc) {
   }
   if (svc.config().workers >= 1) {
     const auto& ss = svc.shard_stats();
-    std::printf("workers: %u forked, %d deaths, %d retries\n", ss.workers,
-                ss.worker_deaths, ss.shard_retries);
+    std::printf("workers: %u forked, %d deaths, %d cells recovered\n",
+                ss.workers, ss.worker_deaths, ss.cells_recovered_in_process);
   }
 }
 

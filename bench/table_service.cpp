@@ -78,8 +78,9 @@ int main(int argc, char** argv) {
 
   // Chaos pass: a fresh cache directory with the deterministic fault
   // injector armed against the cache-write and pipe-write sites at 50%.
-  // Every fault must be absorbed (stores decline, dead workers re-run) and
-  // the grid must still come back byte-identical to the cold pass.
+  // Every fault must be absorbed (stores decline, a dead worker's cells run
+  // in-process) and the grid must still come back byte-identical to the
+  // cold pass.
   const std::string chaos_dir =
       (fs::temp_directory_path() /
        ("rt_table_service_chaos_" + std::to_string(::getpid())))
@@ -180,8 +181,8 @@ int main(int argc, char** argv) {
     } shard_checks[] = {
         {"rt_shard_worker_deaths_total",
          static_cast<std::uint64_t>(chaos_shards.worker_deaths)},
-        {"rt_shard_retry_waves_total",
-         static_cast<std::uint64_t>(chaos_shards.shard_retries)},
+        {"rt_shard_fork_failures_total",
+         static_cast<std::uint64_t>(chaos_shards.fork_failures)},
         {"rt_shard_cells_recovered_in_process_total",
          static_cast<std::uint64_t>(chaos_shards.cells_recovered_in_process)},
     };

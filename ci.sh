@@ -107,6 +107,11 @@ echo "==> table_service smoke (BENCH_service.json)"
 ./build-release/bench/table_service --runs 4 --threads 1 \
   --json BENCH_service.json
 cat BENCH_service.json
+# The same gate through two forked workers: cold and chaos passes go through
+# the sharder's claim dispatch, and the rt_shard_* registry counters must
+# agree with its ShardStats (those checks only run when workers >= 1).
+echo "==> table_service forked smoke (--workers 2)"
+./build-release/bench/table_service --runs 4 --workers 2
 
 # Batch server determinism gate: run the same grid request twice against one
 # cache directory. The second pass must report 100% cache hits and produce a
@@ -129,6 +134,15 @@ grep -q '"event":"cache_summary","hits":4,"misses":0' \
   build-release/server_pass2.log || {
   echo "ERROR: campaign_server warm pass was not 100% cache hits" >&2
   cat build-release/server_pass2.log >&2
+  exit 1
+}
+# The same request with no cache through two forked workers must render
+# the same bytes as the in-process pass.
+printf '%s\nquit\n' "$server_req" | ./build-release/examples/campaign_server \
+  --no-oracles --workers 2 \
+  >build-release/server_forked.csv 2>build-release/server_forked.log
+cmp build-release/server_pass1.csv build-release/server_forked.csv || {
+  echo "ERROR: forked campaign_server CSV differs from the in-process pass" >&2
   exit 1
 }
 

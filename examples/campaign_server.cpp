@@ -299,22 +299,11 @@ std::optional<std::vector<experiments::CampaignSpec>> build_specs(
 // a wall-clock timestamp (`ts`) and an `event` discriminator. Results stay
 // on stdout (or the socket); stderr is machine-parseable.
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
+/// `s` as a quoted JSON string, escaped by obs's shared escaper.
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  obs::append_json_escaped(out, s.c_str());
+  out += '"';
   return out;
 }
 
@@ -397,18 +386,18 @@ std::string render_response(const service::GridResponse& response,
     const std::string name = err.spec_index < response.results.size()
                                  ? response.results[err.spec_index].spec.name
                                  : std::string("?");
-    char buf[512];
     if (json) {
-      std::snprintf(buf, sizeof buf,
-                    "{\"error\":\"%s\",\"name\":\"%s\",\"message\":\"%s\"}\n",
-                    experiments::to_string(err.code), name.c_str(),
-                    err.message.c_str());
+      out += "{\"error\":\"";
+      out += experiments::to_string(err.code);
+      out += "\",\"name\":" + json_string(name) +
+             ",\"message\":" + json_string(err.message) + "}\n";
     } else {
+      char buf[512];
       std::snprintf(buf, sizeof buf, "error %s %s %s\n",
                     experiments::to_string(err.code), name.c_str(),
                     err.message.c_str());
+      out += buf;
     }
-    out += buf;
   }
   return out;
 }
@@ -580,8 +569,8 @@ struct Connection {
                                bytes.data(), bytes.size())) {
       open.store(false, std::memory_order_relaxed);
       ::shutdown(fd, SHUT_RDWR);  // unblocks the reader thread's poll
-      log_json("\"event\":\"client_drop\",\"error\":\"" +
-               json_escape(std::strerror(errno)) + "\"");
+      log_json("\"event\":\"client_drop\",\"error\":" +
+               json_string(std::strerror(errno)));
     }
   }
 
@@ -791,9 +780,9 @@ int serve_socket(service::CampaignService& svc, const ServerOptions& opts) {
   std::signal(SIGTERM, on_terminate_signal);
   std::signal(SIGINT, on_terminate_signal);
 
-  log_json("\"event\":\"listening\",\"socket\":\"" +
-           json_escape(opts.socket_path) +
-           "\",\"backlog\":" + std::to_string(opts.backlog) +
+  log_json("\"event\":\"listening\",\"socket\":" +
+           json_string(opts.socket_path) +
+           ",\"backlog\":" + std::to_string(opts.backlog) +
            ",\"queue_limit\":" + std::to_string(opts.queue_limit));
 
   JobQueue queue(static_cast<std::size_t>(opts.queue_limit));
@@ -945,7 +934,7 @@ int main(int argc, char** argv) {
   log_json(
       "\"event\":\"start\",\"cache\":" +
       (opts.cache_dir.empty() ? std::string("null")
-                              : "\"" + json_escape(opts.cache_dir) + "\"") +
+                              : json_string(opts.cache_dir)) +
       ",\"workers\":" + std::to_string(opts.workers) + ",\"oracles\":" +
       (opts.no_oracles ? "false" : "true"));
   const int rc = opts.socket_path.empty() ? serve_stdin(svc, opts)
@@ -953,13 +942,13 @@ int main(int argc, char** argv) {
 
   if (tracer.armed() && !trace_out.empty()) {
     if (tracer.write_chrome_trace(trace_out)) {
-      log_json("\"event\":\"trace_written\",\"path\":\"" +
-               json_escape(trace_out) + "\",\"spans\":" +
+      log_json("\"event\":\"trace_written\",\"path\":" +
+               json_string(trace_out) + ",\"spans\":" +
                std::to_string(tracer.span_count()) + ",\"dropped\":" +
                std::to_string(tracer.dropped_spans()));
     } else {
-      log_json("\"event\":\"trace_write_failed\",\"path\":\"" +
-               json_escape(trace_out) + "\"");
+      log_json("\"event\":\"trace_write_failed\",\"path\":" +
+               json_string(trace_out));
     }
   }
   if (!opts.metrics_path.empty()) {
@@ -968,11 +957,11 @@ int main(int argc, char** argv) {
       const std::string line = render_stats();
       std::fwrite(line.data(), 1, line.size(), f);
       std::fclose(f);
-      log_json("\"event\":\"metrics_written\",\"path\":\"" +
-               json_escape(opts.metrics_path) + "\"");
+      log_json("\"event\":\"metrics_written\",\"path\":" +
+               json_string(opts.metrics_path));
     } else {
-      log_json("\"event\":\"metrics_write_failed\",\"path\":\"" +
-               json_escape(opts.metrics_path) + "\"");
+      log_json("\"event\":\"metrics_write_failed\",\"path\":" +
+               json_string(opts.metrics_path));
     }
   }
   return rc;

@@ -214,32 +214,6 @@ std::vector<GridCell> grid_cells(const std::vector<CampaignSpec>& specs) {
   return cells;
 }
 
-void run_cells(const CampaignRunner& runner,
-               const std::vector<CampaignSpec>& specs,
-               const std::vector<GridCell>& cells,
-               const std::vector<std::size_t>& indices,
-               const std::function<void(std::size_t cell_index,
-                                        const RunResult& run)>& sink) {
-  for (const std::size_t ci : indices) {
-    const GridCell& cell = cells.at(ci);
-    sink(ci, runner.run_one(specs.at(cell.spec), cell.run));
-  }
-}
-
-void run_cell_range(const CampaignRunner& runner,
-                    const std::vector<CampaignSpec>& specs,
-                    const std::vector<GridCell>& cells, std::size_t begin,
-                    std::size_t end,
-                    const std::function<void(std::size_t cell_index,
-                                             const RunResult& run)>& sink) {
-  std::vector<std::size_t> indices;
-  indices.reserve(end > begin ? end - begin : 0);
-  for (std::size_t i = begin; i < end && i < cells.size(); ++i) {
-    indices.push_back(i);
-  }
-  run_cells(runner, specs, cells, indices, sink);
-}
-
 std::vector<CampaignResult> CampaignScheduler::run_all(
     const std::vector<CampaignSpec>& specs,
     const CampaignProgressFn& on_progress) const {

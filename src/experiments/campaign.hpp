@@ -95,7 +95,7 @@ struct CampaignResult {
 /// diagnostic detail only.
 enum class CampaignErrorCode : std::uint8_t {
   kDeadlineExceeded,  ///< the request deadline expired at a cell boundary
-  kExecutionFailed,   ///< a run raised; retries/fallback could not finish
+  kExecutionFailed,   ///< a run raised; in-process recovery could not finish
 };
 
 [[nodiscard]] constexpr const char* to_string(CampaignErrorCode c) {
@@ -172,26 +172,6 @@ struct GridCell {
 /// run.
 [[nodiscard]] std::vector<GridCell> grid_cells(
     const std::vector<CampaignSpec>& specs);
-
-/// Runs the listed cells serially (in list order) and hands each finished
-/// result to `sink` with its index into `cells`. This is the sharded
-/// worker's entry point: because it calls CampaignRunner::run_one exactly
-/// like the in-process scheduler, any partition of the cell list across
-/// processes reassembles into bit-identical campaign results.
-void run_cells(const CampaignRunner& runner,
-               const std::vector<CampaignSpec>& specs,
-               const std::vector<GridCell>& cells,
-               const std::vector<std::size_t>& indices,
-               const std::function<void(std::size_t cell_index,
-                                        const RunResult& run)>& sink);
-
-/// Convenience: the contiguous half-open cell range [begin, end).
-void run_cell_range(const CampaignRunner& runner,
-                    const std::vector<CampaignSpec>& specs,
-                    const std::vector<GridCell>& cells, std::size_t begin,
-                    std::size_t end,
-                    const std::function<void(std::size_t cell_index,
-                                             const RunResult& run)>& sink);
 
 /// Pluggable campaign-batch executor: runs every spec and returns results
 /// in spec order. Grid harnesses (defense grid, scenario search) accept one

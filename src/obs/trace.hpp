@@ -42,6 +42,11 @@
 
 namespace rt::obs {
 
+/// Appends `s` to `out` escaped for the inside of a JSON string literal
+/// (quotes, backslashes and control characters). The one JSON escaper of
+/// the stack: the trace exporter and the campaign server both use it.
+void append_json_escaped(std::string& out, const char* s);
+
 struct TraceConfig {
   /// Spans retained per thread; older spans are dropped on wrap.
   std::size_t buffer_capacity{1 << 14};

@@ -1,24 +1,19 @@
 #include "service/campaign_service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace rt::service {
 
 using experiments::CampaignError;
-using experiments::CampaignErrorCode;
 using experiments::CampaignResult;
 using experiments::CampaignSpec;
-using experiments::GridCell;
 
 namespace {
 
@@ -42,75 +37,6 @@ const ServiceCounters& service_counters() {
                     "Request specs that ended as typed errors")};
   }();
   return c;
-}
-
-bool expired(const RunControl& ctl) {
-  return ctl.deadline && Clock::now() >= *ctl.deadline;
-}
-
-/// In-process (threaded) analogue of the sharder's run_all_checked, for
-/// workers == 0: every cell into its pre-assigned slot, expiry skips cells
-/// at the boundary, a throwing cell becomes a typed error instead of
-/// unwinding the request.
-GridOutcome run_threaded_checked(const experiments::CampaignRunner& runner,
-                                 const std::vector<CampaignSpec>& specs,
-                                 unsigned threads, const RunControl& ctl) {
-  GridOutcome out;
-  out.results.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    out.results[i].spec = specs[i];
-    out.results[i].runs.resize(
-        static_cast<std::size_t>(std::max(specs[i].runs, 0)));
-  }
-  const std::vector<GridCell> cells = experiments::grid_cells(specs);
-  std::vector<char> filled(cells.size(), 0);
-  if (!cells.empty()) {
-    std::mutex failure_mutex;
-    runtime::ThreadPool pool(threads);
-    pool.parallel_for(static_cast<int>(cells.size()), [&](int i) {
-      if (expired(ctl)) return;
-      const GridCell& c = cells[static_cast<std::size_t>(i)];
-      try {
-        out.results[c.spec].runs[static_cast<std::size_t>(c.run)] =
-            runner.run_one(specs[c.spec], c.run);
-        filled[static_cast<std::size_t>(i)] = 1;
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(failure_mutex);
-        if (!out.first_failure) out.first_failure = std::current_exception();
-      }
-    });
-  }
-  const bool deadline_expired = expired(ctl);
-  std::vector<int> spec_missing(specs.size(), 0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!filled[i]) ++spec_missing[cells[i].spec];
-  }
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    if (spec_missing[s] == 0) continue;
-    const std::size_t total = out.results[s].runs.size();
-    out.results[s].runs.clear();
-    CampaignError err;
-    err.spec_index = s;
-    if (deadline_expired) {
-      err.code = CampaignErrorCode::kDeadlineExceeded;
-      err.message = "deadline expired with " +
-                    std::to_string(spec_missing[s]) + "/" +
-                    std::to_string(total) + " cells missing";
-    } else {
-      err.code = CampaignErrorCode::kExecutionFailed;
-      err.message = "campaign run failed";
-      if (out.first_failure) {
-        try {
-          std::rethrow_exception(out.first_failure);
-        } catch (const std::exception& ex) {
-          err.message = ex.what();
-        } catch (...) {
-        }
-      }
-    }
-    out.errors.push_back(std::move(err));
-  }
-  return out;
 }
 
 }  // namespace
@@ -173,14 +99,13 @@ GridResponse CampaignService::run_grid_checked(const GridRequest& request) {
   if (!miss_specs.empty()) {
     GridOutcome outcome;
     if (config_.workers >= 1) {
-      ShardOptions shard = config_.shard;
-      shard.workers = config_.workers;
-      const ShardedCampaignScheduler sharded(runner_, shard);
+      const ShardedCampaignScheduler sharded(runner_,
+                                             ShardOptions{config_.workers});
       outcome = sharded.run_all_checked(miss_specs, ctl);
       shard_stats_ = sharded.stats();
     } else {
-      outcome = run_threaded_checked(runner_, miss_specs,
-                                     config_.threads, ctl);
+      outcome = run_in_process_checked(runner_, miss_specs,
+                                       config_.threads, ctl);
     }
     response.first_failure = outcome.first_failure;
     for (CampaignError& err : outcome.errors) {

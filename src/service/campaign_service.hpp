@@ -15,14 +15,12 @@ struct ServiceConfig {
   /// Content-hash result cache; nullopt = always re-run.
   std::optional<CacheConfig> cache{};
   /// Forked worker processes for cache-miss execution. 0 = in-process
-  /// CampaignScheduler (with `threads` threads); >= 1 = the multi-process
-  /// ShardedCampaignScheduler with this many workers.
+  /// threads (run_in_process_checked with `threads`); >= 1 = the
+  /// multi-process ShardedCampaignScheduler with this many workers.
   unsigned workers{0};
-  /// Thread count of the in-process scheduler when workers == 0
+  /// Thread count of the in-process path when workers == 0
   /// (0 = one per hardware core).
   unsigned threads{0};
-  /// Sharder knobs (its `workers` field is overridden by `workers` above).
-  ShardOptions shard{};
   /// Consecutive failed cache stores before the service latches the cache
   /// off for its remaining lifetime (a full disk would otherwise add a
   /// failing write + fsync to every spec of every request, forever).
@@ -66,10 +64,11 @@ struct GridResponse {
 /// and freshly-computed cells is indistinguishable from a cold in-process
 /// run of the whole grid.
 ///
-/// The service degrades, never dies: fork failure falls back to threaded
-/// execution (inside the sharder), cache IO errors are absorbed and — after
-/// a streak of failed stores — latch the cache off, and a request deadline
-/// turns unfinished campaigns into typed error records (run_grid_checked).
+/// The service degrades, never dies: cells lost to worker death or fork
+/// failure run in-process (inside the sharder), cache IO errors are
+/// absorbed and — after a streak of failed stores — latch the cache off,
+/// and a request deadline turns unfinished campaigns into typed error
+/// records (run_grid_checked).
 class CampaignService {
  public:
   CampaignService(const experiments::CampaignRunner& runner,

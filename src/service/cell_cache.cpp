@@ -396,12 +396,18 @@ std::size_t CampaignCellCache::evict_locked(std::size_t limit_bytes) {
     }
     std::error_code fec;
     const auto size = fs::file_size(de.path(), fec);
-    const auto mtime = fs::last_write_time(de.path(), fec);
     if (fec) continue;
     total += size;
-    entries.push_back({read_touch(de.path()), mtime, size, de.path()});
+    entries.push_back({0, {}, size, de.path()});
   }
   if (total <= limit_bytes) return 0;
+  // Over budget: only now read each entry's access order (mtime and the
+  // `.touch` sidecar), so an under-budget store costs one stat per entry.
+  for (Entry& e : entries) {
+    std::error_code fec;
+    e.mtime = fs::last_write_time(e.path, fec);
+    e.touch = read_touch(e.path);
+  }
 
   // Oldest access first. Primary key: the monotonic touch counter (every
   // store and every hit bumps it), immune to the 1 s mtime granularity that

@@ -12,32 +12,18 @@ namespace rt::service {
 
 /// Knobs of the multi-process sharder.
 struct ShardOptions {
-  /// Forked worker processes. Clamped to [1, cell count]; 0 = one worker
-  /// per hardware core (runtime::ThreadPool::default_threads()).
+  /// Forked worker processes, and the thread count of the in-process path
+  /// that recovers cells no worker delivered. Clamped to [1, cell count];
+  /// 0 = one per hardware core (runtime::ThreadPool::default_threads()).
   unsigned workers{2};
-  /// Re-fork attempts per shard after a worker death before the parent
-  /// falls back to running the shard's missing cells in-process (so a
-  /// crashing worker degrades to a re-run, never a lost result or a hung
-  /// parent).
-  int max_retries{2};
-  /// Per-read poll timeout on a worker pipe. A worker that goes silent for
-  /// longer is declared dead (killed + reaped) and its shard retried. The
-  /// budget covers the whole read — EINTR storms cannot extend it.
+  /// Per-worker silence budget: a worker whose pipe delivers no bytes for
+  /// longer is declared dead (killed + reaped) and its undelivered cells
+  /// are recovered in-process. Each worker has its own timer, and EINTR
+  /// storms cannot extend it.
   int read_timeout_ms{600000};
-  /// Capped exponential backoff before each retry wave: attempt k sleeps
-  /// min(retry_backoff_ms << k, retry_backoff_max_ms). A worker killed by
-  /// resource pressure (fork EAGAIN, OOM) gets breathing room instead of an
-  /// immediate re-fork into the same pressure.
-  int retry_backoff_ms{25};
-  int retry_backoff_max_ms{2000};
-  /// Threads of the in-process fallback that finishes cells no worker
-  /// delivered (fork exhaustion, retries exhausted). 0 = same as the
-  /// (clamped) worker count. Fork failure thereby degrades to threaded
-  /// execution rather than a serial crawl.
-  unsigned fallback_threads{0};
-  /// Test hooks: the first-wave worker for shard `crash_shard` calls
-  /// _exit(42) after streaming `crash_after_cells` results. Retries are
-  /// never crashed, so the harness can prove death -> retry -> identical
+  /// Test hooks: the `crash_shard`-th forked worker (fork order, from 0)
+  /// calls _exit(42) instead of streaming its (`crash_after_cells` + 1)-th
+  /// claimed cell, so the harness can prove death -> recovery -> identical
   /// results. -1 = disabled.
   int crash_shard{-1};
   int crash_after_cells{0};
@@ -52,12 +38,10 @@ struct RunControl {
 
 /// What a sharded run observed about its workers.
 struct ShardStats {
-  unsigned workers{0};          ///< workers actually forked in the first wave
-  int worker_deaths{0};         ///< abnormal exits / truncated streams / timeouts
-  int shard_retries{0};         ///< re-forked recovery workers
-  int fork_failures{0};         ///< fork() calls that failed (EAGAIN etc.)
+  unsigned workers{0};          ///< workers the wave forks (clamped count)
+  int worker_deaths{0};         ///< abnormal exits / corrupt streams / timeouts
+  int fork_failures{0};         ///< fork()/pipe()/mmap() failures (EAGAIN etc.)
   int cells_recovered_in_process{0};  ///< cells the parent ran itself
-  unsigned fallback_threads{0};  ///< threads of the in-process fallback (0 = unused)
   bool deadline_expired{false};  ///< the RunControl deadline fired mid-grid
 };
 
@@ -67,29 +51,40 @@ struct ShardStats {
 struct GridOutcome {
   std::vector<experiments::CampaignResult> results;
   std::vector<experiments::CampaignError> errors;
-  /// First exception a fallback cell raised (run_all rethrows it to keep
-  /// its always-complete contract; run_all_checked types it instead).
+  /// First exception an in-process cell raised (run_all rethrows it to
+  /// keep its always-complete contract; run_all_checked types it instead).
   std::exception_ptr first_failure{};
 };
 
-/// Multi-process campaign grid execution: forks N workers over disjoint,
-/// contiguous ranges of the grid's cell list (experiments::grid_cells),
-/// each worker streaming one serialized RunResult frame per cell back over
-/// a pipe, the parent merging frames into pre-assigned slots.
+/// The in-process checked executor: runs every cell of the grid over a
+/// thread pool (`threads == 0` = one per hardware core), skips cells once
+/// the deadline has passed, and turns every incomplete campaign into a
+/// typed error record instead of throwing. It is the same path that
+/// recovers the cells a sharded run's workers did not deliver.
+[[nodiscard]] GridOutcome run_in_process_checked(
+    const experiments::CampaignRunner& runner,
+    const std::vector<experiments::CampaignSpec>& specs, unsigned threads,
+    const RunControl& ctl);
+
+/// Multi-process campaign grid execution with the thread pool's dispatch
+/// model: N forked workers claim cells of the flattened grid
+/// (experiments::grid_cells) one at a time from a claim counter in shared
+/// memory, stream one checksummed, serialized RunResult frame per cell
+/// back over their own pipe, and the parent, polling every pipe at once,
+/// merges frames into pre-assigned slots.
 ///
 /// Because every run's randomness is a pure function of (spec.seed,
-/// run_index) — the PR 1 counter-based contract — and doubles cross the
-/// pipe as raw bit patterns, a sharded run is bit-identical to the
-/// in-process CampaignScheduler at ANY worker count. Every frame carries an
-/// FNV-1a payload checksum, so a corrupted pipe (bit flips, interposed
-/// garbage) is detected and re-run, never merged. Worker death (crash,
-/// kill, truncated frame, silence past the timeout) is detected per shard;
-/// the missing cells are re-forked up to `max_retries` times (with capped
-/// exponential backoff) and finally run in-process over a thread pool, so
-/// results are complete and identical even under worker loss or total fork
-/// failure. All syscalls go through the rt::service fault-injection shims
-/// (service/fault_injection.hpp); the chaos suite drives every failure path
-/// above deterministically.
+/// run_index) and doubles cross the pipe as raw bit patterns, a sharded
+/// run is bit-identical to the in-process CampaignScheduler at ANY worker
+/// count and under any claim interleaving. A dead, hung or corrupt worker
+/// (crash, kill, checksum or framing error, silence past the timeout) is
+/// killed and loses only the cells it had claimed but not delivered; the
+/// surviving workers keep claiming the rest. After the single wave, every
+/// missing cell — all of them on total fork failure — runs in-process
+/// (run_in_process_checked's path), so results are complete and identical
+/// even under worker loss. All syscalls go through the rt::service
+/// fault-injection shims (service/fault_injection.hpp); the chaos suite
+/// drives every failure path above deterministically.
 class ShardedCampaignScheduler {
  public:
   explicit ShardedCampaignScheduler(const experiments::CampaignRunner& runner,

@@ -86,7 +86,8 @@ TEST(ShardedScheduler, BitIdenticalToInProcessAtAnyWorkerCount) {
     EXPECT_EQ(grid_bytes(results), reference) << workers << " workers";
     EXPECT_EQ(sharded.stats().workers, workers);
     EXPECT_EQ(sharded.stats().worker_deaths, 0) << workers << " workers";
-    EXPECT_EQ(sharded.stats().shard_retries, 0) << workers << " workers";
+    EXPECT_EQ(sharded.stats().cells_recovered_in_process, 0)
+        << workers << " workers";
   }
 }
 
@@ -110,10 +111,10 @@ TEST(ShardedScheduler, EmptyGridReturnsEmptyResults) {
   EXPECT_TRUE(sharded.run_all({}).empty());
 }
 
-TEST(ShardedScheduler, WorkerDeathIsRetriedToIdenticalResults) {
-  // A worker that dies mid-shard (here: _exit(42) after streaming one
-  // cell) degrades to a re-run of its missing cells — never a hung parent,
-  // never a hole, and the reassembled grid is still bit-identical.
+TEST(ShardedScheduler, WorkerDeathIsRecoveredToIdenticalResults) {
+  // A worker that dies mid-grid (here: _exit(42) after streaming one cell)
+  // degrades to an in-process run of its undelivered cell — never a hung
+  // parent, never a hole, and the reassembled grid is still bit-identical.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const auto specs = family_grid(/*runs=*/2, /*seed=*/3344);
@@ -128,28 +129,28 @@ TEST(ShardedScheduler, WorkerDeathIsRetriedToIdenticalResults) {
   const auto results = sharded.run_all(specs);
   EXPECT_EQ(grid_bytes(results), reference);
   EXPECT_GE(sharded.stats().worker_deaths, 1);
-  EXPECT_GE(sharded.stats().shard_retries, 1);
+  EXPECT_GE(sharded.stats().cells_recovered_in_process, 1);
 }
 
-TEST(ShardedScheduler, ExhaustedRetriesFallBackInProcess) {
-  // max_retries == 0: the parent itself recovers the crashed shard's
-  // missing cells, so results stay complete and identical regardless.
+TEST(ShardedScheduler, DeadWorkerLosesOnlyItsInFlightCell) {
+  // Claim dispatch: the first worker dies on the first cell it claims, the
+  // surviving worker keeps claiming the rest of the grid, and the parent
+  // recovers exactly the one cell that died in flight.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
-  const std::vector<CampaignSpec> specs{small_spec("a", 1),
-                                        small_spec("b", 2)};
+  const auto specs = family_grid(/*runs=*/2, /*seed=*/7788);
+  const std::string reference =
+      grid_bytes(CampaignScheduler(runner, 2).run_all(specs));
+
   ShardOptions opts;
   opts.workers = 2;
-  opts.max_retries = 0;
-  opts.crash_shard = 1;
+  opts.crash_shard = 0;
   opts.crash_after_cells = 0;
   const ShardedCampaignScheduler sharded(runner, opts);
   const auto results = sharded.run_all(specs);
-  EXPECT_EQ(grid_bytes(results),
-            grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
-  EXPECT_GE(sharded.stats().worker_deaths, 1);
-  EXPECT_EQ(sharded.stats().shard_retries, 0);
-  EXPECT_GT(sharded.stats().cells_recovered_in_process, 0);
+  EXPECT_EQ(grid_bytes(results), reference);
+  EXPECT_EQ(sharded.stats().worker_deaths, 1);
+  EXPECT_EQ(sharded.stats().cells_recovered_in_process, 1);
 }
 
 #if RT_OBS_TRACING

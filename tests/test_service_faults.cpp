@@ -269,10 +269,10 @@ const MatrixEntry kSchedulerMatrix[] = {
 TEST(ChaosMatrix, EveryFaultSiteRecoversToBitIdenticalResults) {
   // The headline robustness pin: for every (site, type) pair and every
   // seed, a fully-armed sharded run must still reassemble the grid
-  // BIT-IDENTICALLY — worker deaths re-run, corrupt/truncated frames are
-  // detected by the frame checksum and re-run, fork failures fall through
-  // to the threaded in-process path. No typed errors, because nothing here
-  // can make a cell unrecoverable.
+  // BIT-IDENTICALLY — a dead worker's undelivered cells, corrupt/truncated
+  // frames (caught by the frame checksum) and fork failures all fall
+  // through to the threaded in-process path. No typed errors, because
+  // nothing here can make a cell unrecoverable.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const auto specs = chaos_grid();
@@ -281,8 +281,6 @@ TEST(ChaosMatrix, EveryFaultSiteRecoversToBitIdenticalResults) {
 
   ShardOptions opts;
   opts.workers = 2;
-  opts.max_retries = 1;
-  opts.retry_backoff_ms = 1;
   opts.read_timeout_ms = 60000;
   const ShardedCampaignScheduler sharded(runner, opts);
 
@@ -324,8 +322,6 @@ TEST(ChaosMatrix, EightFamilyGridSurvivesAMixedFaultPlan) {
 
   ShardOptions opts;
   opts.workers = 3;
-  opts.max_retries = 1;
-  opts.retry_backoff_ms = 1;
   const ShardedCampaignScheduler sharded(runner, opts);
   FaultPlan plan;
   plan.seed = 77;
@@ -372,7 +368,6 @@ TEST(ChaosMatrix, SameSeedSameFaultSequenceAcrossRunsAndWorkerCounts) {
   for (unsigned workers : {1u, 2u, 4u}) {
     ShardOptions opts;
     opts.workers = workers;
-    opts.retry_backoff_ms = 1;
     const ShardedCampaignScheduler sharded(runner, opts);
     ArmedFaults armed(
         one_rule(9, FaultSite::kPipeWrite, FaultType::kIoError, 0.5));
@@ -394,16 +389,13 @@ TEST(ShardedScheduler, TotalForkFailureDegradesToThreadedExecution) {
 
   ShardOptions opts;
   opts.workers = 3;
-  opts.max_retries = 1;
-  opts.retry_backoff_ms = 1;
-  opts.fallback_threads = 2;
   const ShardedCampaignScheduler sharded(runner, opts);
   ArmedFaults armed(
       one_rule(2, FaultSite::kFork, FaultType::kForkEagain, 1.0));
   const auto results = sharded.run_all(specs);
   EXPECT_EQ(grid_bytes(results), reference);
   EXPECT_GE(sharded.stats().fork_failures, 3);
-  EXPECT_EQ(sharded.stats().fallback_threads, 2u);
+  EXPECT_EQ(sharded.stats().worker_deaths, 0) << "no worker ever started";
   EXPECT_EQ(sharded.stats().cells_recovered_in_process, 4);
 }
 
@@ -419,7 +411,6 @@ TEST(ShardedScheduler, HungWorkerIsKilledWithinTheReadTimeout) {
 
   ShardOptions opts;
   opts.workers = 2;
-  opts.max_retries = 0;  // straight to the in-process fallback
   opts.read_timeout_ms = 250;
   const ShardedCampaignScheduler sharded(runner, opts);
   ArmedFaults armed(one_rule(6, FaultSite::kPipeWrite, FaultType::kHang,
@@ -466,11 +457,11 @@ TEST(ShardedScheduler, DeadlineExpiryYieldsTypedErrorsNotHangs) {
 
 #if RT_OBS_TRACING
 TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
-  // A worker dies mid-shard with spans still in its ring: those spans are
+  // A worker dies mid-grid with spans still in its ring: those spans are
   // lost by design (the trace frame is the worker's LAST write), but the
-  // merge must stay clean — no absorb failures, spans from the survivor and
-  // the retry worker present, results bit-identical, and the death visible
-  // in the metrics registry, not just ShardStats.
+  // merge must stay clean — no absorb failures, the survivor's spans and
+  // the parent's in-process recovery present, results bit-identical, and
+  // the death visible in the metrics registry, not just ShardStats.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const auto specs = chaos_grid();
@@ -482,9 +473,8 @@ TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
   obs::Tracer::global().arm(obs::TraceConfig{1 << 12});
   ShardOptions opts;
   opts.workers = 2;
-  opts.retry_backoff_ms = 1;
-  opts.crash_shard = 0;       // first-wave worker for shard 0 ...
-  opts.crash_after_cells = 1; // ... dies after streaming one cell
+  opts.crash_shard = 0;       // the first forked worker ...
+  opts.crash_after_cells = 0; // ... dies on the first cell it claims
   const ShardedCampaignScheduler sharded(runner, opts);
   const auto results = sharded.run_all(specs);
   obs::Tracer::global().disarm();
@@ -492,18 +482,18 @@ TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
 
   EXPECT_EQ(grid_bytes(results), reference);
   EXPECT_GE(sharded.stats().worker_deaths, 1);
-  EXPECT_GE(sharded.stats().shard_retries, 1);
+  EXPECT_GE(sharded.stats().cells_recovered_in_process, 1);
   EXPECT_EQ(obs::Tracer::global().absorb_failures(), 0u);
 
   const obs::ParsedTrace parsed =
       obs::parse_chrome_trace(obs::Tracer::global().render_chrome_trace());
-  // Survivor + retry worker each shipped a shard_worker span; the dead
-  // worker's ring never arrived.
-  EXPECT_EQ(parsed.count_spans("shard_worker"), 2u);
-  EXPECT_TRUE(parsed.has_span("shard_retry_wave"));
+  // The survivor shipped its shard_worker span; the dead worker's ring
+  // never arrived, and the parent recorded the in-process recovery.
+  EXPECT_EQ(parsed.count_spans("shard_worker"), 1u);
+  EXPECT_TRUE(parsed.has_span("shard_fallback"));
   const auto pids = parsed.span_pids();
   EXPECT_EQ(std::count(pids.begin(), pids.end(), 0u), 1) << "parent lane";
-  EXPECT_EQ(pids.size(), 3u) << "parent + survivor + retry worker";
+  EXPECT_EQ(pids.size(), 2u) << "parent + survivor";
   obs::Tracer::global().clear();
 
   // The same incidents flow through the registry (cumulative, so deltas).
@@ -512,8 +502,9 @@ TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
   };
   EXPECT_EQ(delta("rt_shard_worker_deaths_total"),
             static_cast<std::uint64_t>(sharded.stats().worker_deaths));
-  EXPECT_EQ(delta("rt_shard_retry_waves_total"),
-            static_cast<std::uint64_t>(sharded.stats().shard_retries));
+  EXPECT_EQ(delta("rt_shard_cells_recovered_in_process_total"),
+            static_cast<std::uint64_t>(
+                sharded.stats().cells_recovered_in_process));
 }
 #endif  // RT_OBS_TRACING
 
@@ -727,7 +718,6 @@ TEST(CampaignServiceFaults, DeadlineProducesTypedErrorsSharded) {
   CampaignRunner runner(loop, {});
   ServiceConfig cfg;
   cfg.workers = 2;
-  cfg.shard.retry_backoff_ms = 1;
   CampaignService svc(runner, cfg);
   GridRequest request;
   request.specs = chaos_grid();

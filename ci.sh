@@ -7,7 +7,17 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 echo "==> Release"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j "$jobs"
+cmake --build build-release -j "$jobs" >build-release/build.log 2>&1 || {
+  cat build-release/build.log
+  exit 1
+}
+cat build-release/build.log
+# The program's own sources build warning-free. The build is incremental,
+# so this sees every file an edit recompiles; a fresh build dir sees all.
+if grep -E '(^|/)src/[^:]*:[0-9]+(:[0-9]+)?: warning:' build-release/build.log; then
+  echo "ERROR: the Release build warns in src/" >&2
+  exit 1
+fi
 ctest --test-dir build-release --output-on-failure -j "$jobs"
 
 # The golden-regression binaries are the contract that perf refactors never
@@ -58,6 +68,13 @@ echo "==> bench smoke (BENCH_campaign.json, traced + untraced)"
   --trace build-release/table2_trace.json
 cmp build-release/table2_untraced.csv build-release/table2_traced.csv || {
   echo "ERROR: arming the tracer changed the table2 result bytes" >&2
+  exit 1
+}
+# Determinism contract: the thread count never changes the result bytes.
+./build-release/bench/table2_attack_summary --runs 8 --threads 4 \
+  --csv build-release/table2_threads4.csv >/dev/null
+cmp build-release/table2_untraced.csv build-release/table2_threads4.csv || {
+  echo "ERROR: table2 CSV differs between --threads 1 and --threads 4" >&2
   exit 1
 }
 # Strict parse + required spans. The table2 path runs the campaign grid

@@ -208,6 +208,10 @@ void Robotack::maybe_arm(const std::vector<perception::WorldTrack>& world,
 
 void Robotack::process_in_place(perception::CameraFrame& frame,
                                 double ego_speed) {
+  // Inert after the last burst: nothing below can change the frame or the
+  // log again, so the replicas, kinematics and RNG need no further upkeep.
+  if (log_.triggers >= config_.max_triggers && !attack_active()) return;
+
   // Phase 2: reconstruct the world from the hacked camera feed. The truth
   // replica consumes the frame *before* any perturbation is applied.
   mot_truth_.update_into(frame, truth_tracks_scratch_);
@@ -255,8 +259,14 @@ void Robotack::process_in_place(perception::CameraFrame& frame,
     }
   }
 
-  // Keep the ADS-view replica in lockstep with what the ADS receives.
-  mot_ads_.update_into(frame, ads_tracks_scratch_);
+  // Keep the ADS-view replica in lockstep with what the ADS receives. Until
+  // the first trigger no frame has been perturbed, so stepping it would
+  // reproduce the truth replica's state exactly: mirror that instead.
+  if (log_.triggered) {
+    mot_ads_.update_into(frame, ads_tracks_scratch_);
+  } else {
+    mot_ads_ = mot_truth_;
+  }
 }
 
 perception::CameraFrame Robotack::process(

@@ -121,6 +121,18 @@ struct AttackLog {
 ///     actually received — the state Eq. 4's association constraint is
 ///     evaluated against.
 ///
+/// `process_in_place` does only the work its outputs read, bit-identically
+/// to stepping everything on every frame:
+///  - *dormant mirror*: until the first trigger no frame has been perturbed,
+///    so the ADS-view replica would see exactly the truth replica's frames
+///    with the same dt, MOT config and noise. It is copied from the truth
+///    replica at the end of each dormant frame instead of stepped; from the
+///    arming frame on it steps on the outgoing frame.
+///  - *inert after the last burst*: once `max_triggers` bursts have fired
+///    and none is active, nothing reads the replicas, kinematics, RNG or
+///    safety hijacker again. Frames pass through unchanged and `log()` is
+///    final.
+///
 /// The malware never touches LiDAR, never reads ground truth, and derives
 /// everything (delta_t, relative velocity/acceleration) from its camera-only
 /// world reconstruction plus the ego's own speed.

@@ -68,6 +68,10 @@ class ScenarioMatcher {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
+  /// Table I as a bit set over `AttackVector` values.
+  [[nodiscard]] unsigned admissible_bits(
+      const perception::WorldTrack& target) const;
+
   Config config_;
 };
 

@@ -20,17 +20,20 @@ std::vector<sim::Actor> characterization_actors() {
   using sim::ActorType;
   std::vector<Actor> actors;
   sim::ActorId id = 1;
-  // Vehicles at a spread of ranges, ego lane and adjacent lane.
+  // Vehicles at a spread of ranges, alternating lanes by actor id: even ids
+  // in the ego lane, odd ids in the adjacent lane.
   for (const double x : {15.0, 25.0, 40.0, 60.0, 90.0}) {
-    actors.emplace_back(id++, ActorType::kVehicle,
-                        math::Vec2{x, (id % 2 == 0)
-                                          ? sim::Road::kEgoLaneCenter
-                                          : sim::Road::kAdjacentLaneCenter});
+    const sim::ActorId actor_id = id++;
+    const double y = actor_id % 2 == 0 ? sim::Road::kEgoLaneCenter
+                                       : sim::Road::kAdjacentLaneCenter;
+    actors.emplace_back(actor_id, ActorType::kVehicle, math::Vec2{x, y});
   }
-  // Pedestrians on the curb and in the parking lane.
+  // Pedestrians alternating by id: even ids on the curb, odd ids in the
+  // parking lane.
   for (const double x : {12.0, 20.0, 30.0, 45.0, 65.0}) {
-    actors.emplace_back(id++, ActorType::kPedestrian,
-                        math::Vec2{x, (id % 2 == 0) ? -5.0 : -3.0});
+    const sim::ActorId actor_id = id++;
+    const double y = actor_id % 2 == 0 ? -5.0 : -3.0;
+    actors.emplace_back(actor_id, ActorType::kPedestrian, math::Vec2{x, y});
   }
   return actors;
 }

@@ -142,6 +142,80 @@ TEST(AllocationPins, RobotackAttackOnPathIsAllocationFreeAfterWarmup) {
   EXPECT_GT(bot.log().frames_perturbed, 0);
 }
 
+TEST(AllocationPins, RobotackDormantPathIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // Dormant frames before any trigger: truth-replica update, world
+  // reconstruction, target pick + scenario match, and the ADS-view replica
+  // mirrored from the truth replica by copy-assignment.
+  core::RobotackConfig cfg;
+  cfg.vector = core::AttackVector::kMoveOut;
+  cfg.timing = core::TimingPolicy::kAtDeltaThreshold;
+  cfg.delta_trigger = -1e9;  // never reached: the malware stays dormant
+  core::Robotack bot(cfg, perception::CameraModel{},
+                     perception::DetectorNoiseModel::paper_defaults(),
+                     perception::MotConfig{}, 99);
+
+  // A stationary in-lane vehicle at ~30 m plus one in the adjacent lane.
+  perception::Detection det;
+  det.cls = sim::ActorType::kVehicle;
+  det.bbox = {960.0, 580.0, 96.0, 80.0};
+  perception::Detection other = det;
+  other.bbox = {1300.0, 560.0, 60.0, 50.0};
+  perception::CameraFrame frame;
+  const double dt = cfg.dt;
+  const auto step = [&] {
+    frame.time += dt;
+    frame.detections.clear();
+    frame.detections.push_back(det);
+    frame.detections.push_back(other);
+    bot.process_in_place(frame, 10.0);
+  };
+  for (int i = 0; i < 40; ++i) step();
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 200; ++i) step();
+  EXPECT_EQ(allocations(), before)
+      << "Robotack::process_in_place allocated on the dormant path";
+  EXPECT_FALSE(bot.log().triggered);
+}
+
+TEST(AllocationPins, RobotackPostBurstPathIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // After the last burst the malware is inert: frames pass through
+  // untouched and nothing is allocated.
+  core::RobotackConfig cfg;
+  cfg.vector = core::AttackVector::kMoveOut;
+  cfg.timing = core::TimingPolicy::kAtDeltaThreshold;
+  cfg.delta_trigger = 30.0;  // triggers immediately at this geometry
+  cfg.fixed_k = 10;
+  core::Robotack bot(cfg, perception::CameraModel{},
+                     perception::DetectorNoiseModel::paper_defaults(),
+                     perception::MotConfig{}, 99);
+
+  perception::Detection det;
+  det.cls = sim::ActorType::kVehicle;
+  det.bbox = {960.0, 580.0, 96.0, 80.0};
+  perception::CameraFrame frame;
+  const double dt = cfg.dt;
+  const auto step = [&] {
+    frame.time += dt;
+    frame.detections.clear();
+    frame.detections.push_back(det);
+    bot.process_in_place(frame, 10.0);
+  };
+  for (int i = 0; i < 40; ++i) step();
+  ASSERT_TRUE(bot.log().triggered) << "attack did not fire during warm-up";
+  ASSERT_FALSE(bot.attack_active()) << "burst still running after warm-up";
+  const int perturbed = bot.log().frames_perturbed;
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 200; ++i) step();
+  EXPECT_EQ(allocations(), before)
+      << "Robotack::process_in_place allocated after the last burst";
+  ASSERT_EQ(frame.detections.size(), 1u);
+  EXPECT_EQ(frame.detections[0].bbox.cx, det.bbox.cx);
+  EXPECT_EQ(frame.detections[0].bbox.cy, det.bbox.cy);
+  EXPECT_EQ(bot.log().frames_perturbed, perturbed);
+}
+
 TEST(AllocationPins, MonitorStackObserveIsAllocationFreeAfterWarmup) {
   if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
   // The defense hook sits on the same per-frame hot path: once the track

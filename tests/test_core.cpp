@@ -437,5 +437,62 @@ TEST(Robotack, MaxTriggersRespected) {
   EXPECT_EQ(bot.log().triggers, 1);
 }
 
+// Two bursts: the inert return must wait for the *last* burst. The second
+// burst re-resolves the victim in the ADS-view replica (which stepped on the
+// perturbed frames of the first) and suppresses frames again; afterwards
+// frames pass through unchanged and the log stays put.
+TEST(Robotack, SecondBurstFiresBeforeGoingInert) {
+  RobotackConfig cfg;
+  cfg.vector = AttackVector::kDisappear;
+  cfg.timing = TimingPolicy::kAtDeltaThreshold;
+  cfg.delta_trigger = 100.0;
+  cfg.fixed_k = 4;
+  cfg.max_triggers = 2;
+  const perception::CameraModel cam;
+  Robotack bot(cfg, cam, perception::DetectorNoiseModel::paper_defaults(),
+               perception::MotConfig{}, 4);
+  sim::GroundTruthObject obj;
+  obj.id = 1;
+  obj.type = sim::ActorType::kVehicle;
+  obj.dims = sim::default_dimensions(obj.type);
+  obj.rel_position = {30.0, 0.0};
+  const auto box = cam.project(obj);
+  ASSERT_TRUE(box.has_value());
+
+  int suppressed = 0;
+  int suppressed_after_inert = 0;
+  double first_start = -1.0;
+  AttackLog final_log;
+  for (int f = 0; f < 60; ++f) {
+    perception::CameraFrame frame;
+    frame.time = f / 15.0;
+    perception::Detection d;
+    d.bbox = *box;
+    d.cls = obj.type;
+    d.truth_id = obj.id;
+    frame.detections.push_back(d);
+    const bool inert = bot.log().triggers == 2 && !bot.attack_active();
+    if (inert && final_log.triggers == 0) final_log = bot.log();
+    const auto out = bot.process(frame, 12.5);
+    if (out.detections.empty()) {
+      ++suppressed;
+      if (inert) ++suppressed_after_inert;
+    }
+    if (bot.log().triggers == 1 && first_start < 0.0) {
+      first_start = bot.log().start_time;
+    }
+  }
+  EXPECT_EQ(bot.log().triggers, 2);
+  EXPECT_GT(bot.log().start_time, first_start);  // a second arm happened
+  EXPECT_EQ(suppressed, 8);
+  EXPECT_EQ(bot.log().frames_perturbed, 8);
+  EXPECT_EQ(suppressed_after_inert, 0);
+  EXPECT_FALSE(bot.attack_active());
+  ASSERT_EQ(final_log.triggers, 2);
+  EXPECT_EQ(bot.log().start_time, final_log.start_time);
+  EXPECT_EQ(bot.log().frames_perturbed, final_log.frames_perturbed);
+  EXPECT_EQ(bot.log().k_prime, final_log.k_prime);
+}
+
 }  // namespace
 }  // namespace rt::core

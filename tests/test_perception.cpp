@@ -529,6 +529,102 @@ TEST(MotTracker, UpdateIntoMatchesUpdate) {
   }
 }
 
+// The invariant RoboTack's dormant mirror relies on: a tracker copy-assigned
+// from one fed N frames is indistinguishable from a tracker stepped on the
+// same N frames — same live tracks, same one-step predictions, same next
+// spawned id — and keeps stepping identically afterwards.
+TEST(MotTracker, CopyAssignedTrackerMatchesSteppedTracker) {
+  const double dt = 1.0 / 15.0;
+  const auto noise = DetectorNoiseModel::paper_defaults();
+  MotTracker fed(dt, MotConfig{}, noise);
+  MotTracker stepped(dt, MotConfig{}, noise);
+  MotTracker mirror(dt, MotConfig{}, noise);
+  stats::Rng rng(88);
+  std::vector<TrackView> buf;
+
+  // Three objects with noisy boxes; the pedestrian drops out for a stretch
+  // and a late vehicle appears, so the copy sees spawns, misses and
+  // retirements.
+  const auto make_frame = [&](int frame_i) {
+    CameraFrame frame;
+    frame.time = frame_i * dt;
+    for (int j = 0; j < 3; ++j) {
+      if (j == 2 && frame_i >= 10 && frame_i < 25) continue;
+      if (j == 1 && frame_i >= 30) continue;
+      Detection d;
+      d.cls = j == 2 ? sim::ActorType::kPedestrian : sim::ActorType::kVehicle;
+      d.bbox = {200.0 + 300.0 * j + 2.0 * frame_i + rng.normal(0.0, 1.5),
+                400.0 + rng.normal(0.0, 1.0), 60.0, 50.0};
+      frame.detections.push_back(d);
+    }
+    if (frame_i >= 20) {
+      Detection d;
+      d.bbox = {1200.0 + rng.normal(0.0, 1.5), 380.0, 40.0, 30.0};
+      frame.detections.push_back(d);
+    }
+    return frame;
+  };
+
+  const auto expect_same = [](const MotTracker& a, const MotTracker& b) {
+    const auto ta = a.live_tracks();
+    const auto tb = b.live_tracks();
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+      EXPECT_EQ(ta[i].track_id, tb[i].track_id);
+      EXPECT_EQ(ta[i].cls, tb[i].cls);
+      for (const auto& [x, y] :
+           {std::pair{ta[i].bbox.cx, tb[i].bbox.cx},
+            std::pair{ta[i].bbox.cy, tb[i].bbox.cy},
+            std::pair{ta[i].bbox.w, tb[i].bbox.w},
+            std::pair{ta[i].bbox.h, tb[i].bbox.h},
+            std::pair{ta[i].predicted_bbox.cx, tb[i].predicted_bbox.cx},
+            std::pair{ta[i].vu, tb[i].vu}, std::pair{ta[i].vv, tb[i].vv},
+            std::pair{ta[i].innovation_m2, tb[i].innovation_m2}}) {
+        EXPECT_EQ(x, y);
+      }
+      EXPECT_EQ(ta[i].hits, tb[i].hits);
+      EXPECT_EQ(ta[i].consecutive_misses, tb[i].consecutive_misses);
+      EXPECT_EQ(ta[i].matched_this_frame, tb[i].matched_this_frame);
+      const auto pa = a.predict_next_bbox(ta[i].track_id);
+      const auto pb = b.predict_next_bbox(ta[i].track_id);
+      ASSERT_TRUE(pa.has_value());
+      ASSERT_TRUE(pb.has_value());
+      EXPECT_EQ(pa->cx, pb->cx);
+      EXPECT_EQ(pa->cy, pb->cy);
+    }
+  };
+
+  int f = 0;
+  for (; f < 40; ++f) {
+    const CameraFrame frame = make_frame(f);
+    fed.update_into(frame, buf);
+    stepped.update_into(frame, buf);
+    mirror = fed;
+    expect_same(mirror, stepped);
+  }
+  // After the copy both step on their own and stay identical, including
+  // the id handed to the next spawned track.
+  for (; f < 50; ++f) {
+    CameraFrame frame = make_frame(f);
+    if (f == 45) {
+      Detection d;
+      d.bbox = {100.0, 700.0, 30.0, 30.0};
+      frame.detections.push_back(d);
+    }
+    mirror.update_into(frame, buf);
+    stepped.update_into(frame, buf);
+    expect_same(mirror, stepped);
+  }
+  const auto spawned_id = [](const MotTracker& t) {
+    for (const auto& v : t.live_tracks()) {
+      if (v.bbox.cy > 650.0) return v.track_id;
+    }
+    return -1;
+  };
+  EXPECT_GT(spawned_id(stepped), 0);
+  EXPECT_EQ(spawned_id(mirror), spawned_id(stepped));
+}
+
 // Golden pin computed on the pre-kernel-refactor implementation (chained
 // allocating Matrix operators): a 200-step noisy BboxTrack walk, folding
 // the post-step state estimate and the Mahalanobis gate value. The

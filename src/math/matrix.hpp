@@ -1,18 +1,20 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <initializer_list>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace rt::math {
 
 /// A small dense row-major matrix of doubles.
 ///
-/// Sized dynamically because the same type backs both the Kalman filters
-/// (4x4..8x8) and the neural-network layers (up to a few hundred rows).
+/// Sized dynamically because the same type backs both the generic Kalman
+/// filter and the neural-network layers (up to a few hundred rows).
 /// All operations validate dimensions and throw `std::invalid_argument` on
 /// mismatch — in this codebase a dimension mismatch is always a programming
 /// error, and failing loudly is preferred over UB.
@@ -100,7 +102,7 @@ class Matrix {
 ///
 /// Each writes its result into a caller-owned `out`, reusing `out`'s storage
 /// (allocation-free once `out` has seen the shape's footprint) — the hot
-/// loops (Kalman steps, NN forwards) call these with per-object or workspace
+/// loops (NN forwards and training) call these with per-object or workspace
 /// scratch instead of chaining the allocating operators above.
 ///
 /// Contract: every kernel reproduces the corresponding allocating-operator
@@ -111,13 +113,11 @@ class Matrix {
 /// (`std::invalid_argument` otherwise); shape mismatches throw like the
 /// operators they mirror.
 
-/// out = a * b. Mirrors `a * b`. Defined inline below: the Kalman hot loop
-/// issues millions of these on 4x4..8x8 operands, where the call itself is
-/// measurable.
-inline void multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
+/// out = a * b. Mirrors `a * b`. A column `b` (the batch-1 NN forward)
+/// runs the vectorized column kernel in matrix.cpp.
+void multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a * b^T. Mirrors `a * b.transposed()` without materializing b^T.
-inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
-                                     Matrix& out);
+void multiply_transposed_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a^T * b. Mirrors `a.transposed() * b` without materializing a^T.
 void transposed_multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a + b. Mirrors `a + b`.
@@ -160,19 +160,16 @@ void transposed_multiply_rows_into(const Matrix& a, const Matrix& b,
 namespace detail {
 [[noreturn]] void throw_kernel_alias();
 [[noreturn]] void throw_inner_mismatch();
+[[noreturn]] void throw_singular();
 
-/// Fixed-dimension kernel bodies (PR 8). The campaign hot loop is dominated
-/// by the bbox tracker's 6-state/4-measurement Kalman algebra — a handful
-/// of shapes issued millions of times — where the generic kernels pay for
-/// runtime trip counts on every call. These templates run the SAME
-/// element-order contract with compile-time bounds so the compiler fully
-/// unrolls them and keeps each output row's accumulators in registers.
-///
-/// Bit-identity: per output element the terms still sum in ascending k with
-/// the identical skip-exact-zero-lhs shortcut, and no element's sum ever
-/// mixes with another's — accumulating in a local `acc` array instead of
-/// the output memory reorders nothing. Every pinned golden is invariant
-/// under this dispatch by construction.
+/// Fixed-dimension kernel bodies for the bbox tracker's 6-state/4-measurement
+/// Kalman algebra (perception/bbox_track.cpp), where the generic kernels
+/// would pay for runtime trip counts on every call. These templates run the
+/// SAME element-order contract with compile-time bounds so the compiler
+/// fully unrolls them and keeps each output row's accumulators in
+/// registers: per output element the terms sum in ascending k with the
+/// identical skip-exact-zero-lhs shortcut, and no element's sum ever mixes
+/// with another's — so each matches the generic kernel bit for bit.
 
 /// out = a * b with compile-time shape (R x K) * (K x C).
 template <std::size_t R, std::size_t K, std::size_t C>
@@ -188,194 +185,43 @@ inline void multiply_fixed(const double* a, const double* b, double* out) {
   }
 }
 
-/// out = a * b^T with compile-time shape (R x K) * (C x K)^T.
-template <std::size_t R, std::size_t K, std::size_t C>
-inline void multiply_transposed_fixed(const double* a, const double* b,
-                                      double* out) {
-  for (std::size_t i = 0; i < R; ++i) {
-    double acc[C] = {};
-    for (std::size_t k = 0; k < K; ++k) {
-      const double v = a[i * K + k];
-      if (v == 0.0) continue;
-      for (std::size_t j = 0; j < C; ++j) acc[j] += v * b[j * K + k];
+/// o = s^-1 by Gauss-Jordan elimination with partial pivoting over
+/// compile-time N, destroying `s` — the SAME statement sequence as
+/// `invert_into` with the trip counts fixed, so every divide and subtract
+/// happens in the identical order and the result is bit-identical. Throws
+/// `std::domain_error` on a singular matrix, like `inverse()`.
+template <std::size_t N>
+inline void invert_fixed(double* s, double* o) {
+  for (std::size_t i = 0; i < N * N; ++i) o[i] = 0.0;
+  for (std::size_t i = 0; i < N; ++i) o[i * N + i] = 1.0;
+  for (std::size_t col = 0; col < N; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < N; ++r) {
+      if (std::abs(s[r * N + col]) > std::abs(s[pivot * N + col])) pivot = r;
     }
-    for (std::size_t j = 0; j < C; ++j) out[i * C + j] = acc[j];
+    if (std::abs(s[pivot * N + col]) < 1e-12) throw_singular();
+    if (pivot != col) {
+      for (std::size_t j = 0; j < N; ++j) {
+        std::swap(s[col * N + j], s[pivot * N + j]);
+        std::swap(o[col * N + j], o[pivot * N + j]);
+      }
+    }
+    const double d = s[col * N + col];
+    for (std::size_t j = 0; j < N; ++j) {
+      s[col * N + j] /= d;
+      o[col * N + j] /= d;
+    }
+    for (std::size_t r = 0; r < N; ++r) {
+      if (r == col) continue;
+      const double f = s[r * N + col];
+      if (f == 0.0) continue;
+      for (std::size_t j = 0; j < N; ++j) {
+        s[r * N + j] -= f * s[col * N + j];
+        o[r * N + j] -= f * o[col * N + j];
+      }
+    }
   }
 }
 }  // namespace detail
-
-inline void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  if (&out == &a || &out == &b) detail::throw_kernel_alias();
-  if (a.cols() != b.rows()) detail::throw_inner_mismatch();
-  const std::size_t rows = a.rows();
-  const std::size_t inner = a.cols();
-  const std::size_t cols = b.cols();
-  out.resize(rows, cols);
-  {
-    // Fixed-shape dispatch for the tracker KF's product set (n = 6 states,
-    // m = 4 measurements): F*P / (I-KH)*P (6,6,6), H*P (4,6,6), K*H
-    // (6,4,6), (P H^T)*S^-1 (6,4,4), and the column products F*x, H*x,
-    // K*y, (y^T S^-1)*y. Same element order as the generic paths below —
-    // see detail::multiply_fixed.
-    const double* ad = a.data().data();
-    const double* bd = b.data().data();
-    double* od = out.data().data();
-    if (inner == 6) {
-      if (rows == 6) {
-        if (cols == 6) return detail::multiply_fixed<6, 6, 6>(ad, bd, od);
-        if (cols == 1) return detail::multiply_fixed<6, 6, 1>(ad, bd, od);
-      } else if (rows == 4) {
-        if (cols == 6) return detail::multiply_fixed<4, 6, 6>(ad, bd, od);
-        if (cols == 1) return detail::multiply_fixed<4, 6, 1>(ad, bd, od);
-      }
-    } else if (inner == 4) {
-      if (rows == 6) {
-        if (cols == 4) return detail::multiply_fixed<6, 4, 4>(ad, bd, od);
-        if (cols == 6) return detail::multiply_fixed<6, 4, 6>(ad, bd, od);
-        if (cols == 1) return detail::multiply_fixed<6, 4, 1>(ad, bd, od);
-      } else if (rows == 1 && cols == 1) {
-        return detail::multiply_fixed<1, 4, 1>(ad, bd, od);
-      }
-    }
-  }
-  if (cols == 1) {
-    // Column fast path (Kalman column updates, batch-1 NN inference): each
-    // output element is an ordered dot product, so accumulate in registers
-    // — four independent row chains at a time to hide FP-add latency.
-    // Every element still sums its terms in ascending k with the same
-    // skip-exact-zero shortcut, hence bit-identical to the general loop,
-    // which would drag a serial load-add-store chain through memory here.
-    const auto bd = b.data();
-    const auto od = out.data();
-    std::size_t i = 0;
-    for (; i + 4 <= rows; i += 4) {
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double x = bd[k];
-        const double a0 = a(i, k);
-        const double a1 = a(i + 1, k);
-        const double a2 = a(i + 2, k);
-        const double a3 = a(i + 3, k);
-        if (a0 != 0.0) s0 += a0 * x;
-        if (a1 != 0.0) s1 += a1 * x;
-        if (a2 != 0.0) s2 += a2 * x;
-        if (a3 != 0.0) s3 += a3 * x;
-      }
-      od[i] = s0;
-      od[i + 1] = s1;
-      od[i + 2] = s2;
-      od[i + 3] = s3;
-    }
-    for (; i < rows; ++i) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = a(i, k);
-        if (v != 0.0) s += v * bd[k];
-      }
-      od[i] = s;
-    }
-    return;
-  }
-  // Register-tiled wide path (batched NN forwards, PR 8): accumulate each
-  // output row in fixed-width column tiles held in a local array, so the
-  // compiler keeps the whole tile in registers instead of dragging a
-  // load-add-store chain through `out`, whose aliasing it cannot prove.
-  // Per output element the terms still sum in ascending k with the same
-  // skip-exact-zero-lhs shortcut — bit-identical to the plain i-k-j loop
-  // this replaces.
-  constexpr std::size_t kTile = 16;
-  const double* ad = a.data().data();
-  const double* bd = b.data().data();
-  double* od = out.data().data();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* arow = ad + i * inner;
-    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
-      const std::size_t width = std::min(kTile, cols - j0);
-      double acc[kTile] = {};
-      if (width == kTile) {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = arow[k];
-          if (v == 0.0) continue;
-          const double* brow = bd + k * cols + j0;
-          for (std::size_t j = 0; j < kTile; ++j) acc[j] += v * brow[j];
-        }
-      } else {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = arow[k];
-          if (v == 0.0) continue;
-          const double* brow = bd + k * cols + j0;
-          for (std::size_t j = 0; j < width; ++j) acc[j] += v * brow[j];
-        }
-      }
-      double* orow = od + i * cols + j0;
-      for (std::size_t j = 0; j < width; ++j) orow[j] = acc[j];
-    }
-  }
-}
-
-inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
-                                     Matrix& out) {
-  if (&out == &a || &out == &b) detail::throw_kernel_alias();
-  if (a.cols() != b.cols()) detail::throw_inner_mismatch();
-  const std::size_t rows = a.rows();
-  const std::size_t inner = a.cols();
-  const std::size_t cols = b.rows();
-  out.resize(rows, cols);
-  if (inner == 6) {
-    // Fixed-shape dispatch for the KF's B^T products: (F P)*F^T (6,6,6),
-    // (H P)*H^T (4,6,4), P*H^T (6,6,4). Same element order — see
-    // detail::multiply_transposed_fixed.
-    const double* ad = a.data().data();
-    const double* bd = b.data().data();
-    double* od = out.data().data();
-    if (rows == 6 && cols == 6) {
-      return detail::multiply_transposed_fixed<6, 6, 6>(ad, bd, od);
-    }
-    if (rows == 4 && cols == 4) {
-      return detail::multiply_transposed_fixed<4, 6, 4>(ad, bd, od);
-    }
-    if (rows == 6 && cols == 4) {
-      return detail::multiply_transposed_fixed<6, 6, 4>(ad, bd, od);
-    }
-  }
-  // out(i, j) = sum_k a(i, k) * b(j, k): rows of both operands stream
-  // sequentially, and register accumulation (four independent j chains)
-  // replaces the historical `a * b.transposed()` materialization. Per
-  // element the terms still sum in ascending k, skipping exact-zero a —
-  // bit-identical to the allocating expression.
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::size_t j = 0;
-    for (; j + 4 <= cols; j += 4) {
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = a(i, k);
-        if (v == 0.0) continue;
-        s0 += v * b(j, k);
-        s1 += v * b(j + 1, k);
-        s2 += v * b(j + 2, k);
-        s3 += v * b(j + 3, k);
-      }
-      out(i, j) = s0;
-      out(i, j + 1) = s1;
-      out(i, j + 2) = s2;
-      out(i, j + 3) = s3;
-    }
-    for (; j < cols; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = a(i, k);
-        if (v == 0.0) continue;
-        s += v * b(j, k);
-      }
-      out(i, j) = s;
-    }
-  }
-}
 
 }  // namespace rt::math

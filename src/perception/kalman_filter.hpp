@@ -16,6 +16,11 @@ namespace rt::perception {
 /// the KF assumes zero-mean Gaussian measurement noise, so an adversary who
 /// injects *biased* noise within +-1 sigma drags the state estimate without
 /// ever producing an innovation large enough to flag.
+///
+/// This is the general reference implementation, written as plain matrix
+/// expressions; the trackers run the fixed-size constant-velocity
+/// specialization in `BboxTrack`, which the tests step side by side with
+/// this class and compare bit for bit.
 class KalmanFilter {
  public:
   KalmanFilter() = default;
@@ -39,11 +44,8 @@ class KalmanFilter {
   [[nodiscard]] double mahalanobis2(const math::Matrix& z) const;
 
   /// Squared Mahalanobis distance of the measurement consumed by the last
-  /// `update` (-1 before the first). Recorded inside the update from the
-  /// already-computed innovation and S^-1, so it is bitwise identical to
-  /// calling `mahalanobis2(z)` immediately before the update at a tiny
-  /// fraction of the cost (no second S inversion). Consumed by the
-  /// runtime attack monitors via BboxTrack/TrackView.
+  /// `update` (-1 before the first): bitwise identical to calling
+  /// `mahalanobis2(z)` immediately before the update.
   [[nodiscard]] double last_update_mahalanobis2() const {
     return last_update_m2_;
   }
@@ -60,36 +62,11 @@ class KalmanFilter {
   void set_measurement_noise(const math::Matrix& r) { r_ = r; }
 
  private:
-  /// Structured fast path for the bbox tracker's constant-velocity model
-  /// (n = 6, m = 4, H an exact 0/1 selection block, F identity plus the two
-  /// dt couplings). Detected once at construction; F and H are immutable
-  /// afterwards. Both bodies replay the generic skip-zero kernels' exact
-  /// per-element term sequences (see the derivation comments in the .cpp),
-  /// so every result is bit-identical to the generic path.
-  void predict_cv_();
-  void update_cv_(const math::Matrix& z);
+  /// S^-1 for the innovation covariance S = H P H^T + R.
+  [[nodiscard]] math::Matrix innovation_covariance_inverse() const;
 
   math::Matrix f_, q_, h_, r_, x_, p_;
   double last_update_m2_{-1.0};
-  bool cv_fast_{false};
-
-  // Fixed scratch reused by every predict/update/mahalanobis2 so a filter
-  // step performs zero heap allocations at steady state (the campaign hot
-  // loop runs millions of them). Sized lazily by the `*_into` kernels;
-  // mutable because `mahalanobis2` is logically const. Results are bit-
-  // identical to the historical allocating expressions (see the kernel
-  // contract in math/matrix.hpp).
-  mutable math::Matrix t_x_;       // n x 1: F x, K y
-  mutable math::Matrix t_y_;       // m x 1: innovation
-  mutable math::Matrix t_hx_;      // m x 1: H x
-  mutable math::Matrix t_nn1_;     // n x n
-  mutable math::Matrix t_nn2_;     // n x n
-  mutable math::Matrix t_mn_;      // m x n: H P
-  mutable math::Matrix t_nm_;      // n x m: P H^T
-  mutable math::Matrix t_k_;       // n x m: Kalman gain
-  mutable math::Matrix t_mm1_;     // m x m: S
-  mutable math::Matrix t_mm2_;     // m x m: Gauss-Jordan scratch
-  mutable math::Matrix t_s_inv_;   // m x m: S^-1
 };
 
 }  // namespace rt::perception

@@ -19,6 +19,7 @@
 #include "perception/bbox_track.hpp"
 #include "perception/detector_model.hpp"
 #include "perception/kalman_filter.hpp"
+#include "perception/mot_tracker.hpp"
 
 namespace {
 
@@ -81,6 +82,36 @@ TEST(AllocationPins, KalmanFilterStepIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(allocations(), before)
       << "KalmanFilter predict/update/mahalanobis2 allocated on the steady "
          "state path";
+}
+
+TEST(AllocationPins, MotTrackerSpawnIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // A track holds its filter inline, so spawning one is a plain element
+  // construction into capacity the tracker already owns. Each cycle: an
+  // object appears (spawn), is tracked, vanishes and is retired.
+  perception::MotTracker mot(1.0 / 15.0);
+  perception::Detection steady;
+  steady.bbox = {400.0, 500.0, 80.0, 70.0};
+  perception::Detection visitor = steady;
+  visitor.bbox = {1200.0, 520.0, 60.0, 50.0};
+  perception::CameraFrame frame;
+  std::vector<perception::TrackView> out;
+  int spawns = 0;
+  const auto step = [&](int i) {
+    frame.detections.clear();
+    frame.detections.push_back(steady);
+    if (i % 30 < 10) frame.detections.push_back(visitor);
+    const std::size_t live = mot.live_track_count();
+    mot.update_into(frame, out);
+    if (mot.live_track_count() > live) ++spawns;
+  };
+  for (int i = 0; i < 60; ++i) step(i);
+  const int warm_spawns = spawns;
+  const std::uint64_t before = allocations();
+  for (int i = 60; i < 240; ++i) step(i);
+  EXPECT_EQ(allocations(), before)
+      << "MotTracker::update_into allocated on a frame that spawns a track";
+  EXPECT_EQ(spawns - warm_spawns, 6) << "the visitor must respawn every cycle";
 }
 
 TEST(AllocationPins, MlpPredictIsAllocationFreeAfterWarmup) {
@@ -175,6 +206,48 @@ TEST(AllocationPins, RobotackDormantPathIsAllocationFreeAfterWarmup) {
   for (int i = 0; i < 200; ++i) step();
   EXPECT_EQ(allocations(), before)
       << "Robotack::process_in_place allocated on the dormant path";
+  EXPECT_FALSE(bot.log().triggered);
+}
+
+TEST(AllocationPins, RobotackDormantMirrorIsAllocationFreeAsTracksComeAndGo) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // The dormant mirror copy-assigns the truth replica over the ADS-view
+  // replica. With tracks that spawn and retire, the copy changes the track
+  // count, which constructs or destroys tracks in the mirror: with inline
+  // filters that is a memcpy, not an allocation per track. The flickering
+  // detection is a one-frame ghost: it spawns a track that is never
+  // confirmed, so only the trackers (not the world-level per-track state
+  // keyed by confirmed ids) see it come and go.
+  core::RobotackConfig cfg;
+  cfg.vector = core::AttackVector::kMoveOut;
+  cfg.timing = core::TimingPolicy::kAtDeltaThreshold;
+  cfg.delta_trigger = -1e9;  // never reached: the malware stays dormant
+  core::Robotack bot(cfg, perception::CameraModel{},
+                     perception::DetectorNoiseModel::paper_defaults(),
+                     perception::MotConfig{}, 99);
+
+  perception::Detection det;
+  det.cls = sim::ActorType::kVehicle;
+  det.bbox = {960.0, 580.0, 96.0, 80.0};
+  perception::Detection ghost = det;
+  ghost.bbox = {1300.0, 560.0, 60.0, 50.0};
+  perception::CameraFrame frame;
+  const double dt = cfg.dt;
+  int i = 0;
+  const auto step = [&] {
+    frame.time += dt;
+    frame.detections.clear();
+    frame.detections.push_back(det);
+    // The ghost shows on one frame of every 12 and is retired after
+    // max_misses (8) frames without it.
+    if (i++ % 12 == 0) frame.detections.push_back(ghost);
+    bot.process_in_place(frame, 10.0);
+  };
+  for (int n = 0; n < 60; ++n) step();
+  const std::uint64_t before = allocations();
+  for (int n = 0; n < 180; ++n) step();
+  EXPECT_EQ(allocations(), before)
+      << "the dormant mirror allocated while the track count changed";
   EXPECT_FALSE(bot.log().triggered);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "math/bbox.hpp"
 #include "math/matrix.hpp"
@@ -457,6 +458,94 @@ TEST(MatrixKernels, RowRangeKernelsValidate) {
                std::invalid_argument);
   EXPECT_THROW(transposed_multiply_rows_into(w, Matrix(2, 4, 1.0), out, 0, 1),
                std::invalid_argument);
+}
+
+// multiply_into / affine_into / affine_rows_into with a one-column rhs run
+// the vectorized column kernel (one lane per output row, 4x4 in-register
+// transposes, partial blocks shifted back to overlap). It must match the
+// plain scalar skip-zero loop bit for bit on every shape — every partial
+// row block and k tail — and on every input: +-0.0 weights, and 0, -0.0,
+// inf and NaN entries in x.
+TEST(MatrixKernels, ColumnKernelMatchesScalarSkipZeroLoopBitwise) {
+  volatile double inf_source = std::numeric_limits<double>::infinity();
+  const double inf = inf_source;
+  // The platform's default NaN: the same pattern inf - inf produces inside
+  // the sums, so all NaNs in the sweep share one bit pattern and the
+  // comparison can stay bitwise whatever order an add takes its operands.
+  const double nan = inf_source - inf_source;
+  const auto reference = [](const Matrix& w, const Matrix& x,
+                            const Matrix* bias, std::size_t i) {
+    double s = 0.0;
+    for (std::size_t k = 0; k < w.cols(); ++k) {
+      const double v = w(i, k);
+      if (v != 0.0) s += v * x(k, 0);
+    }
+    return bias != nullptr ? s + (*bias)(i, 0) : s;
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  stats::Rng rng(2024);
+  int mismatches = 0;
+  int specials_seen = 0;
+  for (std::size_t rows = 1; rows <= 37; ++rows) {
+    for (std::size_t inner = 1; inner <= 103; ++inner) {
+      Matrix w(rows, inner);
+      for (double& v : w.data()) {
+        const double roll = rng.uniform(0.0, 1.0);
+        v = roll < 0.1 ? 0.0 : roll < 0.2 ? -0.0 : rng.uniform(-2.0, 2.0);
+      }
+      // Half the inputs are finite (zeros included), half carry rare
+      // infinities and NaNs, so both the finite and the non-finite sums
+      // get exercised at every shape.
+      const bool specials = rng.uniform(0.0, 1.0) < 0.5;
+      const double rate = specials ? 1.0 / static_cast<double>(inner) : 0.0;
+      Matrix x(inner, 1);
+      for (double& v : x.data()) {
+        const double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.1) {
+          v = 0.0;
+        } else if (roll < 0.2) {
+          v = -0.0;
+        } else if (roll < 0.2 + rate) {
+          const double pick = rng.uniform(0.0, 3.0);
+          v = pick < 1.0 ? inf : pick < 2.0 ? -inf : nan;
+          ++specials_seen;
+        } else {
+          v = rng.uniform(-2.0, 2.0);
+        }
+      }
+      Matrix bias(rows, 1);
+      for (double& v : bias.data()) v = rng.uniform(-1.0, 1.0);
+
+      Matrix out;
+      multiply_into(w, x, out);
+      Matrix out_affine;
+      affine_into(w, x, bias, out_affine);
+      Matrix out_rows(rows, 1);
+      const std::size_t cut = rows / 3;
+      affine_rows_into(w, x, bias, out_rows, 0, cut);
+      affine_rows_into(w, x, bias, out_rows, cut, rows);
+      ASSERT_EQ(out.rows(), rows);
+      ASSERT_EQ(out_affine.rows(), rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const double plain = reference(w, x, nullptr, i);
+        const double affine = reference(w, x, &bias, i);
+        if (!same_bits(out(i, 0), plain) ||
+            !same_bits(out_affine(i, 0), affine) ||
+            !same_bits(out_rows(i, 0), affine)) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "rows " << rows << " inner " << inner << " row "
+                          << i << ": kernel " << out(i, 0) << " / "
+                          << out_affine(i, 0) << " / " << out_rows(i, 0)
+                          << ", reference " << plain << " / " << affine;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(specials_seen, 1000);
 }
 
 TEST(MatrixKernels, ResizeReusesStorageWithoutShrinking) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "perception/camera_model.hpp"
 #include "perception/detector_model.hpp"
@@ -658,6 +659,125 @@ TEST(KalmanFilter, GoldenTrackTraceIsBitIdenticalToPreRefactor) {
     h = stats::fnv1a_double(h, track.mahalanobis2(d.bbox));
   }
   EXPECT_EQ(h, 0x52ffad82edfddd8aULL);
+}
+
+// BboxTrack runs its filter at fixed size, replaying the term sequences of
+// a generic KalmanFilter built from the same F, Q, H, R, x0 and P0. Step the
+// two side by side — predicts, updates with a refreshed R, missed frames,
+// zero innovations and signed-zero coordinates — and compare every output
+// bit for bit: state, covariance, bbox, velocity and innovation m^2.
+TEST(BboxTrack, FixedFilterMatchesGenericKalmanFilterBitwise) {
+  const auto& noise = DetectorNoiseModel::paper_defaults();
+  struct Case {
+    math::Bbox first;
+    ClassNoiseModel noise;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {{100.0, 100.0, 40.0, 40.0}, noise.vehicle, 11},
+      // Signed-zero state: x0 = [-0, -0, ...], and measurements at the
+      // origin keep producing +-0.0 innovations.
+      {{-0.0, -0.0, 12.0, 30.0}, noise.pedestrian, 12},
+      // A tiny box: every measurement sigma sits on its pixel floor.
+      {{640.0, 0.0, 3.0, 2.0}, noise.vehicle, 13},
+  };
+  const double dt = 1.0 / 15.0;
+  int mismatches = 0;
+  int compared = 0;
+  const auto check = [&](const char* what, int step, double fixed,
+                         double generic) {
+    ++compared;
+    if (std::memcmp(&fixed, &generic, sizeof fixed) == 0) return;
+    if (++mismatches <= 5) {
+      ADD_FAILURE() << what << " differs at step " << step << ": fixed "
+                    << fixed << ", generic " << generic;
+    }
+  };
+  const auto column = [](const math::Bbox& b) {
+    return math::Matrix{{b.cx}, {b.cy}, {b.w}, {b.h}};
+  };
+  for (const Case& c : cases) {
+    Detection first;
+    first.bbox = c.first;
+    BboxTrack track(1, first, dt, c.noise);
+
+    math::Matrix f = math::Matrix::identity(6);
+    f(0, 4) = dt;
+    f(1, 5) = dt;
+    math::Matrix h(4, 6);
+    h(0, 0) = h(1, 1) = h(2, 2) = h(3, 3) = 1.0;
+    math::Matrix q(6, 6);
+    math::Matrix p0(6, 6);
+    std::copy(BboxTrack::kProcessNoise.begin(), BboxTrack::kProcessNoise.end(),
+              q.data().begin());
+    std::copy(BboxTrack::kPriorCovariance.begin(),
+              BboxTrack::kPriorCovariance.end(), p0.data().begin());
+    math::Matrix r(4, 4);
+    track.measurement_noise(c.first, r.data().data());
+    const double x0_entries[] = {c.first.cx, c.first.cy, c.first.w,
+                                 c.first.h, 0.0, 0.0};
+    KalmanFilter kf(f, q, h, r, math::Matrix::column(x0_entries), p0);
+
+    const auto compare_all = [&](int step) {
+      const auto& x = kf.state();
+      for (std::size_t i = 0; i < 6; ++i) {
+        check("state", step, track.state()[i], x(i, 0));
+      }
+      for (std::size_t i = 0; i < 36; ++i) {
+        check("covariance", step, track.covariance()[i],
+              kf.covariance().data()[i]);
+      }
+      const math::Bbox b = track.bbox();
+      check("bbox.cx", step, b.cx, x(0, 0));
+      check("bbox.cy", step, b.cy, x(1, 0));
+      check("bbox.w", step, b.w, std::max(1.0, x(2, 0)));
+      check("bbox.h", step, b.h, std::max(1.0, x(3, 0)));
+      check("vu", step, track.vu(), x(4, 0));
+      check("vv", step, track.vv(), x(5, 0));
+    };
+    compare_all(-1);
+    check("mahalanobis2", -1, track.mahalanobis2(c.first),
+          kf.mahalanobis2(column(c.first)));
+
+    stats::Rng rng(c.seed);
+    math::Bbox z = c.first;
+    for (int step = 0; step < 600; ++step) {
+      track.predict();
+      kf.predict();
+      compare_all(step);
+      z.cx += rng.normal(0.4, 1.2);
+      z.cy += rng.normal(-0.1, 0.8);
+      z.w = std::max(0.5, z.w + rng.normal(0.0, 0.5));
+      z.h = std::max(0.5, z.h + rng.normal(0.0, 0.5));
+      Detection det;
+      det.bbox = z;
+      if (step % 17 == 8) {
+        det.bbox.cx = -0.0;
+        det.bbox.cy = -0.0;
+      }
+      if (step % 11 == 5) {
+        // Exactly the predicted state: zero innovations on every axis the
+        // bbox does not clamp.
+        const auto* x = track.state();
+        det.bbox = {x[0], x[1], x[2], x[3]};
+      }
+      if (step % 7 == 3) {
+        track.mark_missed();
+      } else {
+        track.measurement_noise(det.bbox, r.data().data());
+        kf.set_measurement_noise(r);
+        track.update(det);
+        kf.update(column(det.bbox));
+        compare_all(step);
+        check("last innovation m2", step, track.last_innovation_m2(),
+              kf.last_update_mahalanobis2());
+      }
+      check("mahalanobis2", step, track.mahalanobis2(z),
+            kf.mahalanobis2(column(z)));
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(compared, 3 * 600 * 40);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json_main.hpp"
-
 #include "core/safety_hijacker.hpp"
 #include "nn/loss.hpp"
 #include "nn/trainer.hpp"
@@ -98,6 +96,4 @@ BENCHMARK(BM_TrainingEpoch);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return rt::bench::bench_json_main(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json_main.hpp"
-
 #include "experiments/campaign.hpp"
 #include "perception/detector_model.hpp"
 #include "perception/hungarian.hpp"
@@ -118,6 +116,4 @@ BENCHMARK(BM_CampaignSchedulerThroughput)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return rt::bench::bench_json_main(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
-
 #include <vector>
 
 #include "experiments/campaign.hpp"
@@ -20,24 +20,6 @@
 #include "service/campaign_service.hpp"
 
 namespace rt::bench {
-
-/// Number of runs per campaign: paper uses 131-185; default is sized to
-/// keep every bench binary under ~a minute. Override with ROBOTACK_RUNS.
-inline int runs_per_campaign() {
-  if (const char* env = std::getenv("ROBOTACK_RUNS")) {
-    return std::max(4, std::atoi(env));
-  }
-  return 60;
-}
-
-/// Campaign-engine thread count: 0 = one thread per hardware core.
-/// Override with ROBOTACK_THREADS (e.g. =1 for the serial baseline).
-inline unsigned campaign_threads() {
-  if (const char* env = std::getenv("ROBOTACK_THREADS")) {
-    return static_cast<unsigned>(std::max(1, std::atoi(env)));
-  }
-  return 0;
-}
 
 /// Campaign result-cache directory shared by the table_* drivers and the
 /// campaign server: empty = no caching. Override with RT_CAMPAIGN_CACHE.
@@ -68,44 +50,71 @@ struct BenchOptions {
   unsigned threads{0};  ///< 0 = one thread per hardware core
   std::uint64_t seed{0};
   std::string csv_path;   ///< empty = no CSV output
-  std::string json_path;  ///< empty = no JSON perf records
   std::string cache_dir;  ///< empty = no result cache (env RT_CAMPAIGN_CACHE)
   unsigned workers{0};    ///< forked grid workers; 0 = in-process threads
   std::string trace_path;    ///< Chrome trace JSON written on exit
   std::string metrics_path;  ///< Prometheus metrics text written on exit
 };
 
-/// Parses --runs N, --seed S, --threads T, --csv PATH, --json PATH,
-/// --cache-dir PATH, --workers N, --trace PATH, --metrics PATH (and
-/// --help). Unknown flags or missing values print usage and exit non-zero.
+/// Parses --runs N, --seed S, --threads T, --csv PATH, --cache-dir PATH,
+/// --workers N, --trace PATH, --metrics PATH (and --help). Unknown flags,
+/// missing values and malformed or out-of-range numbers (flag or
+/// environment) print usage and exit 2 before any work starts.
 inline BenchOptions parse_options(int argc, char** argv,
                                   std::uint64_t default_seed) {
-  BenchOptions opts;
-  opts.runs = runs_per_campaign();
-  opts.threads = campaign_threads();
-  opts.seed = default_seed;
-  opts.cache_dir = campaign_cache_dir();
+  // Runs per campaign: the paper uses 131-185; the default is sized to keep
+  // every bench binary under ~a minute.
+  constexpr int kDefaultRuns = 60;
+  constexpr std::uint64_t kMaxRuns = std::numeric_limits<int>::max();
+  // Thread and worker counts share the campaign server's bound.
+  constexpr std::uint64_t kMaxThreads = 4096;
   const auto usage = [&](std::FILE* out) {
     std::fprintf(out,
                  "usage: %s [--runs N] [--seed S] [--threads T] [--csv PATH] "
-                 "[--json PATH] [--cache-dir PATH] [--workers N]\n"
-                 "  --runs N     runs per campaign (default %d; env ROBOTACK_RUNS)\n"
+                 "[--cache-dir PATH] [--workers N]\n"
+                 "  --runs N     runs per campaign (default %d; "
+                 "env ROBOTACK_RUNS, min 4)\n"
                  "  --seed S     base campaign seed (default %llu)\n"
-                 "  --threads T  campaign-engine threads, 0 = per core "
-                 "(env ROBOTACK_THREADS)\n"
+                 "  --threads T  campaign-engine threads, 0 = per core, "
+                 "max %llu (env ROBOTACK_THREADS)\n"
                  "  --csv PATH   also write the result table as CSV\n"
-                 "  --json PATH  also write machine-readable perf records\n"
                  "  --cache-dir PATH  campaign result cache "
                  "(env RT_CAMPAIGN_CACHE; empty = off)\n"
                  "  --workers N  forked grid worker processes "
-                 "(0 = in-process threads)\n"
+                 "(0 = in-process threads, max %llu)\n"
                  "  --trace PATH    arm span tracing, write a Chrome trace "
                  "JSON on exit (env RT_TRACE=PATH)\n"
                  "  --metrics PATH  write the final metrics snapshot as "
                  "Prometheus text on exit\n",
-                 argv[0], opts.runs,
-                 static_cast<unsigned long long>(default_seed));
+                 argv[0], kDefaultRuns,
+                 static_cast<unsigned long long>(default_seed),
+                 static_cast<unsigned long long>(kMaxThreads),
+                 static_cast<unsigned long long>(kMaxThreads));
   };
+  const auto number = [&](const char* what, const char* text,
+                          std::uint64_t hi) -> std::uint64_t {
+    const auto v = experiments::parse_uint(text, 0, hi);
+    if (!v) {
+      std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0], text,
+                   what);
+      usage(stderr);
+      std::exit(2);
+    }
+    return *v;
+  };
+
+  BenchOptions opts;
+  opts.runs = kDefaultRuns;
+  if (const char* env = std::getenv("ROBOTACK_RUNS")) {
+    opts.runs = std::max(4, static_cast<int>(
+                                number("ROBOTACK_RUNS", env, kMaxRuns)));
+  }
+  if (const char* env = std::getenv("ROBOTACK_THREADS")) {
+    opts.threads = std::max(1u, static_cast<unsigned>(number(
+                                    "ROBOTACK_THREADS", env, kMaxThreads)));
+  }
+  opts.seed = default_seed;
+  opts.cache_dir = campaign_cache_dir();
   for (int i = 1; i < argc; ++i) {
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -115,41 +124,31 @@ inline BenchOptions parse_options(int argc, char** argv,
       }
       return argv[++i];
     };
-    const auto numeric = [&](const char* text) -> unsigned long long {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv[0],
-                     argv[i - 1], text);
-        usage(stderr);
-        std::exit(2);
-      }
-      return parsed;
-    };
-    if (std::strcmp(argv[i], "--runs") == 0) {
-      opts.runs = std::max(1, static_cast<int>(numeric(value())));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opts.seed = numeric(value());
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = static_cast<unsigned>(numeric(value()));
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--runs") == 0) {
+      opts.runs =
+          std::max(1, static_cast<int>(number(flag, value(), kMaxRuns)));
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      opts.seed =
+          number(flag, value(), std::numeric_limits<std::uint64_t>::max());
+    } else if (std::strcmp(flag, "--threads") == 0) {
+      opts.threads = static_cast<unsigned>(number(flag, value(), kMaxThreads));
+    } else if (std::strcmp(flag, "--csv") == 0) {
       opts.csv_path = value();
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      opts.json_path = value();
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
+    } else if (std::strcmp(flag, "--cache-dir") == 0) {
       opts.cache_dir = value();
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      opts.workers = static_cast<unsigned>(numeric(value()));
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
+    } else if (std::strcmp(flag, "--workers") == 0) {
+      opts.workers = static_cast<unsigned>(number(flag, value(), kMaxThreads));
+    } else if (std::strcmp(flag, "--trace") == 0) {
       opts.trace_path = value();
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
+    } else if (std::strcmp(flag, "--metrics") == 0) {
       opts.metrics_path = value();
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
+    } else if (std::strcmp(flag, "--help") == 0 ||
+               std::strcmp(flag, "-h") == 0) {
       usage(stdout);
       std::exit(0);
     } else {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], argv[i]);
+      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], flag);
       usage(stderr);
       std::exit(2);
     }
@@ -167,7 +166,7 @@ inline BenchOptions parse_options(int argc, char** argv,
 
 /// Shared observability epilogue: writes the Chrome trace (when tracing
 /// was armed) and/or the Prometheus metrics snapshot, confirming paths on
-/// stdout like the CSV/JSON epilogues do. Call once, after the last
+/// stdout like the CSV epilogue does. Call once, after the last
 /// instrumented work of the driver.
 inline void finish_observability(const BenchOptions& opts) {
   obs::Tracer& tracer = obs::Tracer::global();
@@ -239,17 +238,6 @@ inline void report_service_stats(const service::CampaignService& svc) {
     std::printf("workers: %u forked, %d deaths, %d cells recovered\n",
                 ss.workers, ss.worker_deaths, ss.cells_recovered_in_process);
   }
-}
-
-/// Shared JSON epilogue: writes the perf records when --json was given and
-/// confirms the path on stdout. CI uses this to track the perf trajectory
-/// across PRs (BENCH_campaign.json).
-inline void maybe_write_bench_json(
-    const BenchOptions& opts,
-    const std::vector<experiments::BenchJsonRecord>& records) {
-  if (opts.json_path.empty()) return;
-  experiments::write_bench_json(opts.json_path, records);
-  std::printf("wrote %s\n", opts.json_path.c_str());
 }
 
 }  // namespace rt::bench

@@ -3,7 +3,6 @@
 //  (c-f) normalized bbox-center error distributions + Normal fits
 // Prints paper-reported vs measured parameters and ASCII histograms.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -96,13 +95,9 @@ int main(int argc, char** argv) {
   std::printf("footage: %.0f s at %.0f Hz, seed %llu (--runs/--seed)\n",
               cfg.duration_s, cfg.camera_hz,
               static_cast<unsigned long long>(cfg.seed));
-  const auto t0 = std::chrono::steady_clock::now();
   const auto result = experiments::characterize_detector(
       cfg, perception::CameraModel{},
       perception::DetectorNoiseModel::paper_defaults());
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   std::vector<std::vector<std::string>> csv_rows;
   // Paper values from Fig. 5 captions.
@@ -118,10 +113,6 @@ int main(int argc, char** argv) {
   bench::maybe_write_csv(opts, {"class", "panel", "quantity", "paper",
                                 "measured"},
                          csv_rows);
-  bench::maybe_write_bench_json(
-      opts, {{"fig5_characterization",
-              elapsed > 0.0 ? cfg.duration_s * cfg.camera_hz / elapsed : 0.0,
-              elapsed * 1000.0, 1, opts.seed}});
 
   std::printf(
       "\nNotes:\n"

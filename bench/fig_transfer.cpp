@@ -51,11 +51,6 @@ int main(int argc, char** argv) {
   for (const auto& c : matrix.cells) campaign_runs += c.campaign_n;
   std::printf("matrix: %zu cells (%d campaign runs) in %.2f s\n",
               matrix.cells.size(), campaign_runs, elapsed);
-  bench::maybe_write_bench_json(
-      opts,
-      {{"fig_transfer_matrix",
-        elapsed > 0.0 ? campaign_runs / elapsed : 0.0, elapsed * 1000.0,
-        opts.threads == 0 ? 0 : opts.threads, opts.seed}});
 
   // Transfer gap: on-diagonal (train == eval family) vs off-diagonal
   // predictive accuracy and behavioral trigger rate. The two metrics come

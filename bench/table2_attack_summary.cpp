@@ -78,14 +78,6 @@ int main(int argc, char** argv) {
   std::printf("grid: %d runs in %.2f s  (%.1f runs/sec at %u threads)\n",
               grid_runs, elapsed, grid_runs / elapsed, scheduler.threads());
   bench::report_service_stats(*svc);
-  // Traced runs get their own bench name so CI can keep the traced and
-  // untraced throughput side by side in BENCH_campaign.json.
-  const char* bench_name = obs::Tracer::global().armed()
-                               ? "table2_campaign_grid_traced"
-                               : "table2_campaign_grid";
-  bench::maybe_write_bench_json(
-      opts, {{bench_name, grid_runs / elapsed, elapsed * 1000.0,
-              scheduler.threads(), opts.seed}});
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& result = results[i];

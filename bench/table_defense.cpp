@@ -55,11 +55,6 @@ int main(int argc, char** argv) {
   std::printf("grid: %zu cells, %d runs in %.2f s (%.1f runs/sec)\n",
               grid.cells.size(), total_runs, elapsed, total_runs / elapsed);
   bench::report_service_stats(*svc);
-  bench::maybe_write_bench_json(
-      opts, {{"defense_grid", total_runs / elapsed, elapsed * 1000.0,
-              cfg.threads == 0 ? experiments::ThreadPool::default_threads()
-                               : cfg.threads,
-              opts.seed}});
 
   std::vector<std::string> head{"campaign", "monitor", "#runs",
                                 "trig",     "det",     "det rate",

@@ -19,16 +19,6 @@ using namespace rt;
 
 namespace {
 
-experiments::ScenarioSearchResult run_search(
-    experiments::ScenarioSearchConfig cfg, const experiments::LoopConfig& loop,
-    double& elapsed_s) {
-  const obs::Stopwatch watch;
-  const auto result =
-      experiments::run_scenario_search(cfg, loop, /*oracles=*/{});
-  elapsed_s = watch.elapsed_s();
-  return result;
-}
-
 void print_frontier(const experiments::ScenarioSearchResult& result) {
   std::vector<std::string> head{"template", "corpus line", "score",
                                 "crash",    "EB",          "det rate",
@@ -78,7 +68,6 @@ int main(int argc, char** argv) {
               cfg.samples_per_round, cfg.runs_per_sample,
               static_cast<unsigned long long>(cfg.seed), threads);
 
-  std::vector<experiments::BenchJsonRecord> records;
   std::vector<std::vector<std::string>> csv_rows;
   experiments::ScenarioSearchResult searches[2];
   const experiments::SearchObjective objectives[2] = {
@@ -86,14 +75,10 @@ int main(int argc, char** argv) {
       experiments::SearchObjective::kEvadeMonitors};
   for (int i = 0; i < 2; ++i) {
     cfg.objective = objectives[i];
-    double elapsed = 0.0;
-    searches[i] = run_search(cfg, loop, elapsed);
+    searches[i] = experiments::run_scenario_search(cfg, loop, /*oracles=*/{});
     bench::header((std::string("objective: ") + to_string(cfg.objective))
                       .c_str());
     print_frontier(searches[i]);
-    records.push_back({std::string("fuzz_search_") + to_string(cfg.objective),
-                       elapsed > 0.0 ? searches[i].total_runs / elapsed : 0.0,
-                       elapsed * 1000.0, threads, opts.seed});
     for (const auto& row : searches[i].csv_rows()) {
       std::vector<std::string> tagged{to_string(cfg.objective)};
       tagged.insert(tagged.end(), row.begin(), row.end());
@@ -128,7 +113,6 @@ int main(int argc, char** argv) {
   }
   bench::report_service_stats(*svc);
   bench::maybe_write_csv(opts, csv_header, csv_rows);
-  bench::maybe_write_bench_json(opts, records);
   bench::finish_observability(opts);
   return violations == 0 ? 0 : 1;
 }

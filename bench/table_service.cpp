@@ -115,21 +115,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(chaos_faults));
 
   const auto specs = experiments::table2_campaigns(opts.runs, opts.seed);
-  int grid_runs = 0;
-  for (const auto& s : specs) grid_runs += s.runs;
   const double speedup = warm_s > 0.0 ? cold_s / warm_s : 0.0;
   std::printf("warm speedup: %.1fx (contract: >= 10x)\n", speedup);
-  bench::maybe_write_bench_json(
-      opts,
-      {{"table_service_cold", cold_s > 0.0 ? grid_runs / cold_s : 0.0,
-        cold_s * 1000.0, opts.workers >= 1 ? opts.workers : opts.threads,
-        opts.seed},
-       {"table_service_warm", warm_s > 0.0 ? grid_runs / warm_s : 0.0,
-        warm_s * 1000.0, opts.workers >= 1 ? opts.workers : opts.threads,
-        opts.seed},
-       {"table_service_chaos", chaos_s > 0.0 ? grid_runs / chaos_s : 0.0,
-        chaos_s * 1000.0, opts.workers >= 1 ? opts.workers : opts.threads,
-        opts.seed}});
 
   bool ok = true;
   if (warm != cold) {

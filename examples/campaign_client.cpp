@@ -19,9 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "experiments/reporting.hpp"
 #include "service/fault_injection.hpp"
 
 namespace {
@@ -84,7 +86,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       socket_path = argv[++i];
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
-      timeout_ms = std::atoi(argv[++i]);
+      const auto ms = rt::experiments::parse_uint(
+          argv[++i], 1, std::numeric_limits<int>::max());
+      if (!ms) {
+        std::fprintf(stderr, "%s: bad value '%s' for --timeout-ms\n",
+                     argv[0], argv[i]);
+        usage(argv[0], 2);
+      }
+      timeout_ms = static_cast<int>(*ms);
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       usage(argv[0], 0);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace rt::experiments {
@@ -83,41 +84,21 @@ void write_csv(const std::string& path,
   for (const auto& row : rows) write_row(row);
 }
 
-std::string bench_json(const std::vector<BenchJsonRecord>& records) {
-  // The bench names are plain identifiers (benchmark symbol names, CLI
-  // driver tags); escape quotes/backslashes anyway so exotic names cannot
-  // produce invalid JSON.
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
+std::optional<std::uint64_t> parse_uint(const std::string& s,
+                                        std::uint64_t lo,
+                                        std::uint64_t hi) {
+  if (s.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;  // overflow
     }
-    return out;
-  };
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const BenchJsonRecord& r = records[i];
-    char numbers[160];
-    std::snprintf(numbers, sizeof numbers,
-                  "\"runs_per_sec\": %.3f, \"wall_ms\": %.3f, "
-                  "\"threads\": %u, \"seed\": %llu",
-                  r.runs_per_sec, r.wall_ms, r.threads,
-                  static_cast<unsigned long long>(r.seed));
-    out += "  {\"bench\": \"" + escape(r.bench) + "\", " + numbers + "}";
-    if (i + 1 < records.size()) out += ',';
-    out += '\n';
+    v = v * 10 + digit;
   }
-  out += "]\n";
-  return out;
-}
-
-void write_bench_json(const std::string& path,
-                      const std::vector<BenchJsonRecord>& records) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("write_bench_json: cannot open " + path);
-  os << bench_json(records);
+  if (v < lo || v > hi) return std::nullopt;
+  return v;
 }
 
 }  // namespace rt::experiments

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,25 +33,13 @@ void write_csv(const std::string& path,
                const std::vector<std::string>& header,
                const std::vector<std::vector<std::string>>& rows);
 
-/// One machine-readable performance record emitted by a bench driver's
-/// `--json` flag. `runs_per_sec` is the driver's primary throughput metric
-/// (campaign runs/sec for grid drivers, iterations or items per second for
-/// microbenchmarks); `wall_ms` the measured wall time of one unit.
-struct BenchJsonRecord {
-  std::string bench;        ///< stable record name, e.g. "table2_campaign_grid"
-  double runs_per_sec{0.0};
-  double wall_ms{0.0};
-  unsigned threads{1};
-  std::uint64_t seed{0};
-};
-
-/// Serializes records as a JSON array of flat objects (stable field order:
-/// bench, runs_per_sec, wall_ms, threads, seed). CI appends these files to
-/// the repository's perf trajectory (BENCH_campaign.json).
-[[nodiscard]] std::string bench_json(const std::vector<BenchJsonRecord>& records);
-
-/// Writes `bench_json(records)` to `path`.
-void write_bench_json(const std::string& path,
-                      const std::vector<BenchJsonRecord>& records);
+/// Strict unsigned parse: the WHOLE string must be base-10 digits and the
+/// value must land in [lo, hi]. Unlike atoi/strtoull this rejects empty
+/// strings, signs, whitespace, trailing junk ("12x") and overflow instead
+/// of silently returning 0 or wrapping — a garbled `runs=abc` must be an
+/// error reply, not a 0-run campaign.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint(const std::string& s,
+                                                      std::uint64_t lo,
+                                                      std::uint64_t hi);
 
 }  // namespace rt::experiments

@@ -172,7 +172,7 @@ class MetricsRegistry {
 
 /// Prometheus text exposition (format 0.0.4): HELP/TYPE headers, cumulative
 /// `_bucket{le=...}` rows, `_sum`/`_count`. Suitable for scraping or for
-/// persisting next to BENCH_*.json.
+/// the bench drivers' --metrics file.
 std::string render_prometheus(const MetricsSnapshot& snap);
 
 /// One-line JSON object keyed by metric name — the `stats` verb payload of

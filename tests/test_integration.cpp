@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
+#include <optional>
 
 #include "experiments/campaign.hpp"
 #include "experiments/characterization.hpp"
@@ -201,6 +204,31 @@ TEST(Reporting, CsvEscapeRfc4180) {
   EXPECT_EQ(csv_escape("line1\nline2"), "\"line1\nline2\"");
   EXPECT_EQ(csv_escape("cr\rcell"), "\"cr\rcell\"");
   EXPECT_EQ(csv_escape("both,\"x\""), "\"both,\"\"x\"\"\"");
+}
+
+TEST(Reporting, ParseUintIsStrict) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_uint("0", 0, 10), 0u);
+  EXPECT_EQ(parse_uint("42", 0, 100), 42u);
+  EXPECT_EQ(parse_uint("007", 0, 10), 7u);
+  // Signs, whitespace, the empty string and trailing junk are rejected,
+  // never read as 0 or wrapped ("-1" is not ULLONG_MAX).
+  EXPECT_EQ(parse_uint("-1", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("+1", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint(" 1", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("1 ", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("12x", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("0x10", 0, kMax), std::nullopt);
+  // UINT64_MAX parses; UINT64_MAX + 1 and longer overflow.
+  EXPECT_EQ(parse_uint("18446744073709551615", 0, kMax), kMax);
+  EXPECT_EQ(parse_uint("18446744073709551616", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("99999999999999999999999", 0, kMax), std::nullopt);
+  // Both bounds are inclusive.
+  EXPECT_EQ(parse_uint("1", 1, 4096), 1u);
+  EXPECT_EQ(parse_uint("4096", 1, 4096), 4096u);
+  EXPECT_EQ(parse_uint("0", 1, 4096), std::nullopt);
+  EXPECT_EQ(parse_uint("4097", 1, 4096), std::nullopt);
 }
 
 TEST(Reporting, WriteCsvQuotesDirtyCells) {

@@ -240,25 +240,5 @@ TEST(TransferVector, UserRegisteredFamilyResolvesWithoutStringMatching) {
             AttackVector::kMoveIn);
 }
 
-TEST(BenchJson, SerializesStableRecordSchema) {
-  const std::vector<BenchJsonRecord> records{
-      {"table2_campaign_grid", 453.25, 123.456, 1, 20200613},
-      {"BM_OracleInference", 100000.5, 0.01, 2, 0},
-  };
-  const std::string json = bench_json(records);
-  EXPECT_EQ(json,
-            "[\n"
-            "  {\"bench\": \"table2_campaign_grid\", \"runs_per_sec\": 453.250, "
-            "\"wall_ms\": 123.456, \"threads\": 1, \"seed\": 20200613},\n"
-            "  {\"bench\": \"BM_OracleInference\", \"runs_per_sec\": 100000.500, "
-            "\"wall_ms\": 0.010, \"threads\": 2, \"seed\": 0}\n"
-            "]\n");
-  EXPECT_EQ(bench_json({}), "[\n]\n");
-  // Exotic names cannot break the JSON.
-  const std::string escaped =
-      bench_json({{"we\"ird", 1.0, 1.0, 1, 0}});
-  EXPECT_NE(escaped.find("we\\\"ird"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rt::experiments

@@ -192,6 +192,14 @@ grep -q '"rt_service_requests_total": 1' build-release/server_pass3.out || {
   echo "ERROR: stats verb did not count the request" >&2
   exit 1
 }
+# The cache directory holds entries and nothing else: no sidecar files and
+# no `.tmp` left behind by a store.
+stray=$(find "$server_cache" -mindepth 1 ! -name 'cell_*.rtcr' -print)
+[ -z "$stray" ] || {
+  echo "ERROR: stray files in the campaign_server cache directory:" >&2
+  echo "$stray" >&2
+  exit 1
+}
 
 # Concurrent-server determinism gate: one long-lived server on a Unix
 # socket, two requests run serially and then from two simultaneous clients.

@@ -29,8 +29,8 @@
 // queue is answered `busy\n` (and nothing else). A client line `shutdown`
 // — or SIGTERM/SIGINT — drains the queued requests, answers them, then
 // exits 0. RT_CHAOS arms the deterministic fault injector at startup (see
-// service/fault_injection.hpp), which is how the chaos suite drives
-// client-write failures through a real server.
+// service/fault_injection.hpp; a malformed spec exits 2), which is how the
+// chaos suite drives client-write failures through a real server.
 //
 // Observability: `--trace PATH` (or the RT_TRACE env var, whose value is
 // the path) arms the span tracer and writes a Chrome trace-event JSON file
@@ -52,6 +52,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <csignal>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -317,35 +318,51 @@ const char* kCsvHeader =
     "name,scenario,vector,mode,runs,seed,n,triggered,eb,crash,detected,"
     "false_alarms,eb_rate,crash_rate,detection_rate,median_k\n";
 
+/// printf-style append sized by a first vsnprintf pass: a row carries a
+/// campaign name of any length (pinned params spell out every value).
+[[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt,
+                                           ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list sizing;
+  va_copy(sizing, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt,
+                   args);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(args);
+}
+
 void append_result(const experiments::CampaignResult& r, bool json,
                    std::string& out) {
   const auto& s = r.spec;
-  char buf[512];
   if (json) {
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"name\":\"%s\",\"scenario\":\"%s\",\"vector\":\"%s\","
-        "\"mode\":\"%s\",\"runs\":%d,\"seed\":%" PRIu64 ",\"n\":%d,"
-        "\"triggered\":%d,\"eb\":%d,\"crash\":%d,\"detected\":%d,"
-        "\"false_alarms\":%d,\"eb_rate\":%.6f,\"crash_rate\":%.6f,"
-        "\"detection_rate\":%.6f,\"median_k\":%.6f}\n",
-        s.name.c_str(), s.scenario.c_str(), core::to_string(s.vector),
-        to_string(s.mode), s.runs, s.seed, r.n(), r.triggered_count(),
-        r.eb_count(), r.crash_count(), r.detected_count(),
-        r.false_alarm_count(), r.eb_rate(), r.crash_rate(),
-        r.detection_rate(), r.median_k());
+    appendf(out,
+            "{\"name\":%s,\"scenario\":%s,\"vector\":\"%s\","
+            "\"mode\":\"%s\",\"runs\":%d,\"seed\":%" PRIu64 ",\"n\":%d,"
+            "\"triggered\":%d,\"eb\":%d,\"crash\":%d,\"detected\":%d,"
+            "\"false_alarms\":%d,\"eb_rate\":%.6f,\"crash_rate\":%.6f,"
+            "\"detection_rate\":%.6f,\"median_k\":%.6f}\n",
+            json_string(s.name).c_str(), json_string(s.scenario).c_str(),
+            core::to_string(s.vector), to_string(s.mode), s.runs, s.seed,
+            r.n(), r.triggered_count(), r.eb_count(), r.crash_count(),
+            r.detected_count(), r.false_alarm_count(), r.eb_rate(),
+            r.crash_rate(), r.detection_rate(), r.median_k());
   } else {
-    std::snprintf(buf, sizeof buf,
-                  "%s,%s,%s,%s,%d,%" PRIu64 ",%d,%d,%d,%d,%d,%d,%.6f,%.6f,"
-                  "%.6f,%.6f\n",
-                  s.name.c_str(), s.scenario.c_str(),
-                  core::to_string(s.vector), to_string(s.mode), s.runs,
-                  s.seed, r.n(), r.triggered_count(), r.eb_count(),
-                  r.crash_count(), r.detected_count(), r.false_alarm_count(),
-                  r.eb_rate(), r.crash_rate(), r.detection_rate(),
-                  r.median_k());
+    appendf(out,
+            "%s,%s,%s,%s,%d,%" PRIu64 ",%d,%d,%d,%d,%d,%d,%.6f,%.6f,"
+            "%.6f,%.6f\n",
+            s.name.c_str(), s.scenario.c_str(), core::to_string(s.vector),
+            to_string(s.mode), s.runs, s.seed, r.n(), r.triggered_count(),
+            r.eb_count(), r.crash_count(), r.detected_count(),
+            r.false_alarm_count(), r.eb_rate(), r.crash_rate(),
+            r.detection_rate(), r.median_k());
   }
-  out += buf;
 }
 
 /// Renders a checked grid response: one row per COMPLETED campaign, one
@@ -373,11 +390,8 @@ std::string render_response(const service::GridResponse& response,
       out += "\",\"name\":" + json_string(name) +
              ",\"message\":" + json_string(err.message) + "}\n";
     } else {
-      char buf[512];
-      std::snprintf(buf, sizeof buf, "error %s %s %s\n",
-                    experiments::to_string(err.code), name.c_str(),
-                    err.message.c_str());
-      out += buf;
+      appendf(out, "error %s %s %s\n", experiments::to_string(err.code),
+              name.c_str(), err.message.c_str());
     }
   }
   return out;
@@ -886,6 +900,10 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill us
   if (service::FaultInjector::instance().arm_from_env()) {
     log_json("\"event\":\"chaos_armed\",\"source\":\"RT_CHAOS\"");
+  } else if (const char* chaos = std::getenv("RT_CHAOS");
+             chaos != nullptr && chaos[0] != '\0') {
+    std::fprintf(stderr, "%s: malformed RT_CHAOS spec: %s\n", argv[0], chaos);
+    return 2;
   }
   // Tracing: RT_TRACE=PATH or --trace PATH arms the span tracer; an
   // explicit flag wins for the output path.

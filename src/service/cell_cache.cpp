@@ -5,12 +5,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "experiments/campaign_serde.hpp"
@@ -128,17 +129,18 @@ ReadOutcome read_file(const fs::path& path, std::string& out) {
   return ReadOutcome::kOk;
 }
 
-fs::path touch_sidecar(const fs::path& entry) {
-  return fs::path(entry.string() + ".touch");
+std::string entry_name(std::uint64_t fp) {
+  return "cell_" + fingerprint_hex(fp) + ".rtcr";
 }
 
-/// Access counter from an entry's `.touch` sidecar; 0 (== "no recorded
-/// access, fall back to mtime") when absent or unreadable.
-std::uint64_t read_touch(const fs::path& entry) {
-  std::ifstream in(touch_sidecar(entry));
-  std::uint64_t v = 0;
-  if (in >> v) return v;
-  return 0;
+/// `fp` for a file named exactly `entry_name(fp)`, else nullopt.
+std::optional<std::uint64_t> entry_fingerprint(const std::string& fname) {
+  if (fname.size() != 26) return std::nullopt;  // "cell_" 16 hex ".rtcr"
+  std::uint64_t fp = 0;
+  const char* hex = fname.data() + 5;
+  const auto parsed = std::from_chars(hex, hex + 16, fp, 16);
+  if (parsed.ec != std::errc() || fname != entry_name(fp)) return std::nullopt;
+  return fp;
 }
 
 }  // namespace
@@ -172,40 +174,48 @@ CampaignCellCache::CampaignCellCache(CacheConfig config)
     throw std::invalid_argument("CampaignCellCache: empty cache dir");
   }
   fs::create_directories(config_.dir);
-  // Re-seed the monotonic access sequence from the max persisted counter,
-  // so a restarted process keeps strictly increasing LRU order.
+  // Rebuild the LRU order once: the entries already on disk, oldest mtime
+  // first (path breaks ties), take uses 1..n before anything this process
+  // stores or hits.
+  std::vector<std::tuple<fs::file_time_type, std::string, std::uint64_t,
+                         std::uintmax_t>>
+      found;  // {mtime, name, fingerprint, bytes}; names are unique
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(config_.dir, ec)) {
-    if (de.path().extension() != ".touch") continue;
-    std::ifstream in(de.path());
-    std::uint64_t v = 0;
-    if (in >> v) touch_seq_ = std::max(touch_seq_, v);
-  }
-}
-
-void CampaignCellCache::touch_locked(const std::string& entry_path) {
-  const fs::path sidecar = touch_sidecar(entry_path);
-  const fs::path tmp = sidecar.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << ++touch_seq_ << '\n';
-    if (!out.good()) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return;  // counter write failed: the entry falls back to mtime order
+    std::string name = de.path().filename().string();
+    const auto fp = entry_fingerprint(name);
+    std::error_code size_ec;
+    std::error_code time_ec;
+    const auto bytes = de.file_size(size_ec);
+    const auto mtime = de.last_write_time(time_ec);
+    if (fp && !size_ec && !time_ec) {
+      found.emplace_back(mtime, std::move(name), *fp, bytes);
     }
   }
-  std::error_code ec;
-  fs::rename(tmp, sidecar, ec);
-  if (ec) fs::remove(tmp, ec);
+  std::sort(found.begin(), found.end());
+  for (const auto& f : found) use_locked(std::get<2>(f), std::get<3>(f));
+}
+
+std::string CampaignCellCache::path_for(std::uint64_t fp) const {
+  return (fs::path(config_.dir) / entry_name(fp)).string();
+}
+
+void CampaignCellCache::use_locked(std::uint64_t fp, std::uint64_t bytes) {
+  Slot& slot = index_[fp];  // a new slot starts at {0, 0}
+  total_bytes_ = total_bytes_ - slot.bytes + bytes;
+  slot = {bytes, ++use_clock_};
+}
+
+void CampaignCellCache::drop_locked(std::uint64_t fp) {
+  const auto it = index_.find(fp);
+  if (it == index_.end()) return;
+  total_bytes_ -= it->second.bytes;
+  index_.erase(it);
 }
 
 std::string CampaignCellCache::entry_path(
     const experiments::CampaignSpec& spec) const {
-  const std::uint64_t fp =
-      campaign_cell_fingerprint(spec, config_.code_version);
-  return (fs::path(config_.dir) / ("cell_" + fingerprint_hex(fp) + ".rtcr"))
-      .string();
+  return path_for(campaign_cell_fingerprint(spec, config_.code_version));
 }
 
 std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
@@ -215,14 +225,14 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
   StatsMirror mirror(stats_);
   const std::uint64_t fp =
       campaign_cell_fingerprint(spec, config_.code_version);
-  const fs::path path =
-      fs::path(config_.dir) / ("cell_" + fingerprint_hex(fp) + ".rtcr");
+  const fs::path path = path_for(fp);
 
   std::string blob;
   switch (read_file(path, blob)) {
     case ReadOutcome::kOk:
       break;
     case ReadOutcome::kNotFound:
+      drop_locked(fp);
       ++stats_.misses;
       return std::nullopt;
     case ReadOutcome::kIoError:
@@ -299,11 +309,9 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
   }
 
   ++stats_.hits;
-  // LRU re-touch: the authoritative order is the monotonic counter (mtime
-  // has 1 s granularity on some filesystems, which let a hit tie with a
-  // cold store and lose to the path tie-break); the mtime refresh stays as
-  // the fallback signal for entries handled by older builds.
-  touch_locked(path.string());
+  // LRU: the use clock orders this process; the mtime refresh carries the
+  // hit's recency to the next open.
+  use_locked(fp, blob.size());
   std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   return result;
@@ -316,8 +324,7 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
   StatsMirror mirror(stats_);
   const std::uint64_t fp =
       campaign_cell_fingerprint(spec, config_.code_version);
-  const fs::path path =
-      fs::path(config_.dir) / ("cell_" + fingerprint_hex(fp) + ".rtcr");
+  const fs::path path = path_for(fp);
   const fs::path tmp = path.string() + ".tmp";
 
   const std::string payload = experiments::serialize_campaign_result(result);
@@ -358,7 +365,7 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
     ::close(dirfd);
   }
   ++stats_.stores;
-  touch_locked(path.string());
+  use_locked(fp, blob.size());
 
   if (config_.max_bytes > 0) {
     stats_.evictions += evict_locked(config_.max_bytes);
@@ -374,61 +381,22 @@ std::size_t CampaignCellCache::evict_to_limit(std::size_t limit_bytes) {
   return removed;
 }
 
-std::size_t CampaignCellCache::evict_to_limit() {
-  return config_.max_bytes > 0 ? evict_to_limit(config_.max_bytes) : 0;
-}
-
 std::size_t CampaignCellCache::evict_locked(std::size_t limit_bytes) {
-  struct Entry {
-    std::uint64_t touch;  ///< 0 = no counter, order by mtime
-    fs::file_time_type mtime;
-    std::uintmax_t size;
-    fs::path path;
-  };
-  std::vector<Entry> entries;
-  std::uintmax_t total = 0;
-  std::error_code ec;
-  for (const auto& de : fs::directory_iterator(config_.dir, ec)) {
-    const std::string fname = de.path().filename().string();
-    if (fname.rfind("cell_", 0) != 0 ||
-        de.path().extension() != ".rtcr") {
-      continue;
-    }
-    std::error_code fec;
-    const auto size = fs::file_size(de.path(), fec);
-    if (fec) continue;
-    total += size;
-    entries.push_back({0, {}, size, de.path()});
-  }
-  if (total <= limit_bytes) return 0;
-  // Over budget: only now read each entry's access order (mtime and the
-  // `.touch` sidecar), so an under-budget store costs one stat per entry.
-  for (Entry& e : entries) {
-    std::error_code fec;
-    e.mtime = fs::last_write_time(e.path, fec);
-    e.touch = read_touch(e.path);
-  }
-
-  // Oldest access first. Primary key: the monotonic touch counter (every
-  // store and every hit bumps it), immune to the 1 s mtime granularity that
-  // used to let a just-hit entry tie with — and evict before — a cold one.
-  // Counterless entries sort first among themselves by mtime; path is the
-  // final deterministic tie-break.
-  std::sort(entries.begin(), entries.end(), [](const Entry& a,
-                                               const Entry& b) {
-    if (a.touch != b.touch) return a.touch < b.touch;
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.path < b.path;
-  });
+  if (total_bytes_ <= limit_bytes) return 0;
+  // Least recently used first; uses are unique, so the order is total.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> by_use;  // {use, fp}
+  by_use.reserve(index_.size());
+  for (const auto& [fp, slot] : index_) by_use.emplace_back(slot.last_use, fp);
+  std::sort(by_use.begin(), by_use.end());
   std::size_t removed = 0;
-  for (const Entry& e : entries) {
-    if (total <= limit_bytes) break;
-    std::error_code rec;
-    if (fs::remove(e.path, rec)) {
-      total -= e.size;
-      ++removed;
-      fs::remove(touch_sidecar(e.path), rec);  // evicted entry's sidecar too
-    }
+  for (const auto& use_fp : by_use) {
+    if (total_bytes_ <= limit_bytes) break;
+    const std::uint64_t fp = use_fp.second;
+    std::error_code ec;
+    const bool existed = fs::remove(path_for(fp), ec);
+    if (ec) continue;  // still on disk: keep it indexed
+    drop_locked(fp);   // a file already gone is forgotten, not counted
+    if (existed) ++removed;
   }
   return removed;
 }

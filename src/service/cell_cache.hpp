@@ -4,6 +4,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "experiments/campaign.hpp"
 
@@ -49,9 +50,9 @@ struct CacheStats {
 
 struct CacheConfig {
   std::string dir;
-  /// LRU byte budget: after each store the oldest entries (by access time —
-  /// hits re-touch their file) are evicted until the directory is back
-  /// under this. 0 = unbounded.
+  /// LRU byte budget: after each store the least recently used entries
+  /// (by the cache's in-memory use clock, which stores and hits advance)
+  /// are evicted until the indexed bytes are back under this. 0 = unbounded.
   std::size_t max_bytes{256ull * 1024 * 1024};
   std::uint64_t code_version{kCampaignCodeVersion};
 };
@@ -71,14 +72,23 @@ struct CacheConfig {
 /// declines, a lookup misses) and counted in CacheStats::io_errors, never
 /// thrown. Instance methods are mutex-serialized, safe from concurrent
 /// threads.
+///
+/// LRU order lives in memory, rebuilt once at open from the entries' mtimes.
+/// One process owns a cache directory at a time: entries another process
+/// writes meanwhile are still served by path and count against the
+/// budget at the next open. Today's only writer is the CampaignService in
+/// `campaign_server` or in a bench driver given `--cache-dir`; forked shard
+/// workers never touch the cache. Sharing a directory anyway can misjudge
+/// the budget but never serve a wrong result (per-file fingerprint and
+/// checksum checks).
 class CampaignCellCache {
  public:
   explicit CampaignCellCache(CacheConfig config);
 
   /// The cached result for this exact spec (at this cache's code version),
-  /// or nullopt. A hit re-touches the entry for LRU: its `.touch` sidecar
-  /// gets the next monotonic access counter (and the mtime is refreshed as
-  /// a best-effort fallback).
+  /// or nullopt. A hit takes the next use for LRU and refreshes the file's
+  /// mtime (best effort) for the next open; a lookup that finds no file
+  /// drops the entry from the index.
   [[nodiscard]] std::optional<experiments::CampaignResult> lookup(
       const experiments::CampaignSpec& spec);
 
@@ -90,39 +100,42 @@ class CampaignCellCache {
   bool store(const experiments::CampaignSpec& spec,
              const experiments::CampaignResult& result);
 
-  /// Evicts oldest entries until the directory is within `limit_bytes`
-  /// (pass the configured budget via the no-arg overload). Returns the
-  /// number of files removed.
+  /// Evicts least recently used entries until the indexed bytes are within
+  /// `limit_bytes`. Returns the number of files removed; an indexed entry
+  /// whose file is already gone is dropped without counting.
   std::size_t evict_to_limit(std::size_t limit_bytes);
-  std::size_t evict_to_limit();
 
   /// On-disk path an entry for this spec would use.
   [[nodiscard]] std::string entry_path(
       const experiments::CampaignSpec& spec) const;
 
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] const CacheConfig& config() const { return config_; }
 
  private:
+  struct Slot {
+    std::uint64_t bytes;
+    std::uint64_t last_use;
+  };
+
+  [[nodiscard]] std::string path_for(std::uint64_t fp) const;
+  /// Sets the entry's size (replacing its old one) and gives it the next
+  /// use; caller holds mutex_.
+  void use_locked(std::uint64_t fp, std::uint64_t bytes);
+  /// Forgets the entry; caller holds mutex_.
+  void drop_locked(std::uint64_t fp);
   /// Sweep body; caller holds mutex_. Returns files removed.
   std::size_t evict_locked(std::size_t limit_bytes);
-
-  /// Writes `cell_<hash>.rtcr.touch` with the next access counter; caller
-  /// holds mutex_.
-  void touch_locked(const std::string& entry_path);
 
   CacheConfig config_;
   mutable std::mutex mutex_;
   CacheStats stats_;
-  /// Monotonic access sequence for LRU ordering. fs::last_write_time has
-  /// 1 s granularity on some filesystems, so a hit and a cold store within
-  /// the same second used to tie and fall through to the path tie-break —
-  /// which could evict the just-hit entry before a cold one. Counters are
-  /// persisted in per-entry `.touch` sidecars and re-seeded from their max
-  /// at construction, so ordering survives process restarts; entries
-  /// without a sidecar (legacy, or a lost write) fall back to mtime and
-  /// sort before any counter-bearing entry.
-  std::uint64_t touch_seq_{0};
+  /// Fingerprint -> {size, last use}: the LRU order, keyed by the u64 (not
+  /// the path) to stay small.
+  std::unordered_map<std::uint64_t, Slot> index_;
+  std::uint64_t total_bytes_{0};
+  /// Monotonic use clock: exact even where fs::last_write_time has 1 s
+  /// granularity, so a hit never ties with a cold store.
+  std::uint64_t use_clock_{0};
 };
 
 }  // namespace rt::service

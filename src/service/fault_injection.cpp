@@ -4,11 +4,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 
+#include "experiments/reporting.hpp"
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
 
@@ -92,7 +94,9 @@ bool FaultInjector::arm_from_env(const char* var) {
     const std::string key = word.substr(0, eq);
     const std::string value = word.substr(eq + 1);
     if (key == "seed") {
-      plan.seed = std::strtoull(value.c_str(), nullptr, 10);
+      const auto seed = experiments::parse_uint(value, 0, UINT64_MAX);
+      if (!seed) return false;
+      plan.seed = *seed;
     } else if (key == "site") {
       for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
         if (value == kSiteNames[i]) {
@@ -110,11 +114,20 @@ bool FaultInjector::arm_from_env(const char* var) {
       }
       if (!have_type) return false;
     } else if (key == "rate") {
-      rule.rate = std::strtod(value.c_str(), nullptr);
-    } else if (key == "max") {
-      rule.max_faults = std::atoi(value.c_str());
-    } else if (key == "skip") {
-      rule.skip_ops = std::atoi(value.c_str());
+      char* end = nullptr;
+      rule.rate = std::strtod(value.c_str(), &end);
+      // NaN fails both comparisons; inf fails the upper one.
+      if (value.empty() || *end != '\0' ||
+          !(rule.rate >= 0.0 && rule.rate <= 1.0)) {
+        return false;
+      }
+    } else if (key == "max" && value == "-1") {
+      rule.max_faults = -1;  // the documented "unlimited"
+    } else if (key == "max" || key == "skip") {
+      const auto count = experiments::parse_uint(value, 0, INT_MAX);
+      if (!count) return false;
+      (key == "max" ? rule.max_faults : rule.skip_ops) =
+          static_cast<int>(*count);
     } else {
       return false;
     }

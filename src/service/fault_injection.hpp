@@ -96,7 +96,9 @@ class FaultInjector {
 
   /// Arms from the RT_CHAOS environment variable when set (format:
   /// `seed=7 site=client-write type=disconnect rate=0.5 max=4 skip=0`;
-  /// site and type use the to_string names). Returns true when armed.
+  /// site and type use the to_string names, `max=-1` is unlimited, `rate`
+  /// lies in [0, 1]). Returns true when armed; false, arming nothing, when
+  /// the variable is unset or empty or any word of it is malformed.
   bool arm_from_env(const char* var = "RT_CHAOS");
 
   /// Folds a deterministic worker id into the schedule stream (called by

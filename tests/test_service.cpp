@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -355,12 +356,12 @@ TEST(CellCache, LruEvictionRemovesOldestFirst) {
   EXPECT_FALSE(fs::exists(cache.entry_path(specs[3])));
 }
 
-TEST(CellCache, TouchCounterLruBeatsCoarseMtimeTies) {
+TEST(CellCache, UseClockLruBeatsCoarseMtimeTies) {
   // Regression (PR 8): eviction order used to be (mtime, path). On a
   // filesystem with 1 s timestamp granularity a hit and a cold store land
   // on the SAME mtime, so the just-hit entry could lose the path tie-break
-  // and be evicted before a cold one. The persisted monotonic touch
-  // counter orders accesses exactly even when every mtime is equal.
+  // and be evicted before a cold one. The in-memory monotonic use clock
+  // orders accesses exactly even when every mtime is equal.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const std::string dir = scratch_dir("cache_touch");
@@ -391,18 +392,15 @@ TEST(CellCache, TouchCounterLruBeatsCoarseMtimeTies) {
                          static_cast<std::size_t>(entry_size) / 2);
     EXPECT_TRUE(fs::exists(cache.entry_path(specs[hit])))
         << "just-hit entry was evicted before a cold one";
-    // The evicted entry takes its sidecar with it.
     std::size_t rtcr = 0;
-    std::size_t touch = 0;
     for (const auto& de : fs::directory_iterator(dir)) {
       rtcr += de.path().extension() == ".rtcr" ? 1 : 0;
-      touch += de.path().extension() == ".touch" ? 1 : 0;
     }
     EXPECT_EQ(rtcr, 2u);
-    EXPECT_EQ(touch, 2u);
   }
-  // A reopened cache reseeds its counter from the persisted max, so a hit
-  // in the new process still outranks every access of the old one.
+  // A reopened cache ranks every entry it found on disk below its own
+  // uses, so a hit in the new process outranks every access of the old
+  // one.
   {
     CampaignCellCache cache({dir, /*max_bytes=*/0});
     std::vector<std::size_t> alive;
@@ -423,32 +421,128 @@ TEST(CellCache, TouchCounterLruBeatsCoarseMtimeTies) {
   }
 }
 
-TEST(CellCache, EvictionFallsBackToMtimeForCounterlessEntries) {
-  // Entries as an older build left them (no .touch sidecar) still evict in
-  // mtime order, and sort before any counter-bearing entry.
+TEST(CellCache, ReopenRebuildsLruOrderFromMtimes) {
+  // A closed cache's order survives in its files' mtimes: the next open
+  // evicts oldest mtime first. The mtimes run against path order, so a
+  // path-ordered (or unordered) rebuild picks the wrong victims.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
-  const std::string dir = scratch_dir("cache_mtime_fallback");
-  CampaignCellCache cache({dir, /*max_bytes=*/0});
+  const std::string dir = scratch_dir("cache_reopen_mtime");
   std::vector<CampaignSpec> specs;
-  for (int i = 0; i < 3; ++i) {
-    specs.push_back(
-        small_spec("fallback", 4000 + static_cast<std::uint64_t>(i)));
-    cache.store(specs.back(), runner.run(specs.back()));
+  {
+    CampaignCellCache cache({dir, /*max_bytes=*/0});
+    for (int i = 0; i < 3; ++i) {
+      specs.push_back(
+          small_spec("reopen", 4000 + static_cast<std::uint64_t>(i)));
+      cache.store(specs.back(), runner.run(specs.back()));
+    }
   }
-  for (const auto& s : specs) {
-    fs::remove(fs::path(cache.entry_path(s) + ".touch"));
-  }
+  CampaignCellCache probe({dir, /*max_bytes=*/0});
+  std::sort(specs.begin(), specs.end(),
+            [&](const CampaignSpec& a, const CampaignSpec& b) {
+              return probe.entry_path(a) < probe.entry_path(b);
+            });
+  // Path-last is oldest, then path-first, then the middle one.
   const auto now = fs::file_time_type::clock::now();
-  for (const auto& s : specs) fs::last_write_time(cache.entry_path(s), now);
-  fs::last_write_time(cache.entry_path(specs[1]),
-                      now - std::chrono::hours(2));
+  fs::last_write_time(probe.entry_path(specs[2]), now - std::chrono::hours(3));
+  fs::last_write_time(probe.entry_path(specs[0]), now - std::chrono::hours(2));
+  fs::last_write_time(probe.entry_path(specs[1]), now - std::chrono::hours(1));
+
+  CampaignCellCache cache({dir, /*max_bytes=*/0});
   const auto entry_size = fs::file_size(cache.entry_path(specs[0]));
-  cache.evict_to_limit(static_cast<std::size_t>(entry_size) * 2 +
+  EXPECT_EQ(cache.evict_to_limit(static_cast<std::size_t>(entry_size) * 2 +
+                                 static_cast<std::size_t>(entry_size) / 2),
+            1u);
+  EXPECT_FALSE(fs::exists(cache.entry_path(specs[2])));
+  EXPECT_TRUE(fs::exists(cache.entry_path(specs[0])));
+  cache.evict_to_limit(static_cast<std::size_t>(entry_size) +
                        static_cast<std::size_t>(entry_size) / 2);
+  EXPECT_FALSE(fs::exists(cache.entry_path(specs[0])));
+  EXPECT_TRUE(fs::exists(cache.entry_path(specs[1])));
+}
+
+TEST(CellCache, OpenEntriesEvictInMtimeOrderBeforeAnyNewUse) {
+  // Entries found at open rank below everything this process stores or
+  // hits, whatever their mtimes say (here: hours in the future); among
+  // themselves they evict oldest mtime first.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::string dir = scratch_dir("cache_open_first");
+  std::vector<CampaignSpec> specs;
+  {
+    CampaignCellCache cache({dir, /*max_bytes=*/0});
+    for (int i = 0; i < 3; ++i) {
+      specs.push_back(
+          small_spec("open", 5000 + static_cast<std::uint64_t>(i)));
+      cache.store(specs.back(), runner.run(specs.back()));
+    }
+    const auto now = fs::file_time_type::clock::now();
+    fs::last_write_time(cache.entry_path(specs[0]),
+                        now + std::chrono::hours(2));
+    fs::last_write_time(cache.entry_path(specs[1]),
+                        now + std::chrono::hours(1));
+    fs::last_write_time(cache.entry_path(specs[2]),
+                        now + std::chrono::hours(3));
+  }
+  CampaignCellCache cache({dir, /*max_bytes=*/0});
+  const CampaignSpec fresh = small_spec("open", 5003);
+  cache.store(fresh, runner.run(fresh));
+  ASSERT_TRUE(cache.lookup(specs[2]).has_value());
+  const auto entry_size = fs::file_size(cache.entry_path(fresh));
+
+  EXPECT_EQ(cache.evict_to_limit(static_cast<std::size_t>(entry_size) * 3 +
+                                 static_cast<std::size_t>(entry_size) / 2),
+            1u);
   EXPECT_FALSE(fs::exists(cache.entry_path(specs[1])));
   EXPECT_TRUE(fs::exists(cache.entry_path(specs[0])));
+  EXPECT_EQ(cache.evict_to_limit(static_cast<std::size_t>(entry_size) * 2 +
+                                 static_cast<std::size_t>(entry_size) / 2),
+            1u);
+  EXPECT_FALSE(fs::exists(cache.entry_path(specs[0])));
   EXPECT_TRUE(fs::exists(cache.entry_path(specs[2])));
+  EXPECT_TRUE(fs::exists(cache.entry_path(fresh)));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+TEST(CellCache, RestoringAnEntryReplacesItsBytesNeverAddsThem) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::string dir = scratch_dir("cache_restore");
+  const CampaignSpec spec = small_spec("restore", 6000);
+  const CampaignResult result = runner.run(spec);
+  std::uintmax_t entry_size = 0;
+  {
+    CampaignCellCache sizer({dir, /*max_bytes=*/0});
+    sizer.store(spec, result);
+    entry_size = fs::file_size(sizer.entry_path(spec));
+  }
+  // Budget of 1.5 entries: the entry found at open plus two stores of the
+  // same spec are still one entry.
+  CampaignCellCache cache(
+      {dir, static_cast<std::size_t>(entry_size) + entry_size / 2});
+  ASSERT_TRUE(cache.store(spec, result));
+  ASSERT_TRUE(cache.store(spec, result));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_TRUE(cache.lookup(spec).has_value());
+}
+
+TEST(CellCache, EntryDeletedBehindTheCacheIsNotAnEviction) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  CampaignCellCache cache({scratch_dir("cache_deleted"), /*max_bytes=*/0});
+  const CampaignSpec gone = small_spec("deleted", 7000);
+  const CampaignSpec kept = small_spec("deleted", 7001);
+  cache.store(gone, runner.run(gone));
+  cache.store(kept, runner.run(kept));
+  const auto entry_size = fs::file_size(cache.entry_path(kept));
+  fs::remove(cache.entry_path(gone));
+  // The vanished entry is the LRU victim: it is forgotten, its bytes leave
+  // the total, and that alone brings the cache within budget.
+  EXPECT_EQ(cache.evict_to_limit(static_cast<std::size_t>(entry_size) +
+                                 static_cast<std::size_t>(entry_size) / 2),
+            0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_TRUE(fs::exists(cache.entry_path(kept)));
 }
 
 TEST(CellCache, StoreSweepsToConfiguredBudget) {

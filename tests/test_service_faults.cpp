@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -164,6 +165,24 @@ TEST(FaultInjector, ArmFromEnvParsesTheChaosSpec) {
   EXPECT_FALSE(FaultInjector::instance().arm_from_env());
   ::setenv("RT_CHAOS", "not-a-kv-pair", 1);
   EXPECT_FALSE(FaultInjector::instance().arm_from_env());
+  // Every number must parse whole and in range; a malformed value arms
+  // nothing rather than a different plan.
+  for (const char* bad : {"max=abc", "skip=-3", "seed=12x", "rate=1.5",
+                          "rate=nan"}) {
+    const std::string spec =
+        std::string("site=client-write type=disconnect ") + bad;
+    ::setenv("RT_CHAOS", spec.c_str(), 1);
+    EXPECT_FALSE(FaultInjector::instance().arm_from_env()) << bad;
+    EXPECT_FALSE(FaultInjector::instance().armed()) << bad;
+  }
+  // max=-1 is the documented "unlimited".
+  ::setenv("RT_CHAOS", "site=client-write type=disconnect max=-1", 1);
+  ASSERT_TRUE(FaultInjector::instance().arm_from_env());
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(FaultInjector::instance().next(FaultSite::kClientWrite).type,
+              FaultType::kDisconnect);
+  }
+  FaultInjector::instance().disarm();
   ::unsetenv("RT_CHAOS");
   EXPECT_FALSE(FaultInjector::instance().arm_from_env());
 }
@@ -762,6 +781,7 @@ std::string unique_socket_path() {
 struct ServerProcess {
   pid_t pid{-1};
   std::string socket_path;
+  int startup_exit{-1};  ///< exit code when the server died on startup
 
   bool start(const std::vector<std::string>& extra_args,
              const char* chaos = nullptr) {
@@ -791,6 +811,7 @@ struct ServerProcess {
       int status = 0;
       if (::waitpid(pid, &status, WNOHANG) == pid) {
         pid = -1;
+        if (WIFEXITED(status)) startup_exit = WEXITSTATUS(status);
         return false;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
@@ -1045,6 +1066,56 @@ TEST(CampaignServer, RtChaosClientWriteFaultDropsOneClientNotTheServer) {
   send_line(second, "shutdown");
   EXPECT_EQ(server.wait_exit(), 0);
   ::close(second);
+}
+
+TEST(CampaignServer, LongCampaignNamesRenderWholeNewlineTerminatedRows) {
+  // Pinning every scenario param spells each value into the campaign name,
+  // which outgrew the old fixed 512-byte row buffer: the row was cut
+  // mid-field with no newline and ran into the next record.
+  std::string request =
+      "run scenarios=dense-follow vectors=Move_Out modes=RwoSH runs=1 seed=3 "
+      "monitors=sensor-consistency";
+  for (const auto& name : sim::scenario_param_names()) {
+    request += " param=" + name + ":-1.23457e-300";
+  }
+  for (const bool json : {true, false}) {
+    ServerProcess server;
+    ASSERT_TRUE(server.start(json ? std::vector<std::string>{"--json"}
+                                  : std::vector<std::string>{}));
+    const int fd = connect_unix(server.socket_path);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_line(fd, request));
+    const std::string response = read_response(fd);
+    std::vector<std::string> lines;
+    for (std::size_t at = 0, eol = 0;
+         (eol = response.find('\n', at)) != std::string::npos; at = eol + 1) {
+      lines.push_back(response.substr(at, eol - at));
+    }
+    // JSON: row, end. CSV: header, row, end.
+    ASSERT_EQ(lines.size(), json ? 2u : 3u) << response;
+    const std::string& row = lines[lines.size() - 2];
+    EXPECT_EQ(lines.back(), "end");
+    if (json) {
+      EXPECT_GT(row.size(), 512u);
+      EXPECT_EQ(row.front(), '{');
+      EXPECT_NE(row.find("\"median_k\":"), std::string::npos) << row;
+      EXPECT_EQ(row.back(), '}') << row;
+    } else {
+      EXPECT_EQ(std::count(row.begin(), row.end(), ','), 15) << row;
+      EXPECT_EQ(row.rfind(",0.000000,0.000000"),
+                row.size() - std::string(",0.000000,0.000000").size())
+          << row;
+    }
+    send_line(fd, "shutdown");
+    EXPECT_EQ(server.wait_exit(), 0);
+    ::close(fd);
+  }
+}
+
+TEST(CampaignServer, MalformedRtChaosExitsTwo) {
+  ServerProcess server;
+  EXPECT_FALSE(server.start({}, "site=cache-write type=io-error max=abc"));
+  EXPECT_EQ(server.startup_exit, 2);
 }
 
 #endif  // RT_CAMPAIGN_SERVER_BIN
